@@ -14,7 +14,7 @@
 
 #include "src/common/random.h"
 #include "src/common/table.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/metrics.h"
 #include "src/join/edge_cover.h"
 #include "src/join/hypercube.h"
 #include "src/join/query.h"

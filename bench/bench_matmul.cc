@@ -12,7 +12,7 @@
 
 #include "src/common/random.h"
 #include "src/common/table.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/metrics.h"
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
 #include "src/matmul/problem.h"

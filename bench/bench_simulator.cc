@@ -21,7 +21,7 @@
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/engine/job.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/metrics.h"
 #include "src/engine/simulator.h"
 #include "src/graph/alon.h"
 #include "src/graph/generators.h"

@@ -16,7 +16,6 @@
 #include "src/core/lower_bound.h"
 #include "src/core/schema_stats.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
 #include "src/graph/alon.h"
 #include "src/graph/generators.h"
 #include "src/graph/sample_graph_mr.h"

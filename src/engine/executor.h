@@ -79,21 +79,20 @@ struct JobOptions {
   std::size_t num_threads = 0;
   /// Optional caller-owned thread pool. When set, the round runs on it
   /// instead of constructing (and tearing down) a private pool — the
-  /// Pipeline driver uses this to reuse one pool across every round.
+  /// plan executor uses this to reuse one pool across every round.
   common::ThreadPool* pool = nullptr;
   /// Shuffle shards. 0 = auto: one per thread, capped for small rounds
   /// when a pair estimate is available (the plan executor passes its
   /// declared or sampled estimate; the eager entry points have none
   /// before the map runs, so they size for a large round — tiny jobs pay
   /// a few near-empty shard tasks rather than fan-out jobs losing their
-  /// parallelism). 1 = the serial reference shuffle. Ignored by the
+  /// parallelism). 1 = group every key in one task. Ignored by the
   /// external shuffle.
   std::size_t num_shards = 0;
   /// Shuffle configuration (strategy, memory budget, spill dir, merge
-  /// fan-in) — the one ShuffleConfig shared with PipelineOptions and the
-  /// external shuffle; see its comment for the field-wise resolution
-  /// order. All strategies produce byte-identical outputs; only memory
-  /// behaviour and metrics differ.
+  /// fan-in) — the one ShuffleConfig shared with PipelineOptions; see its
+  /// comment for the field-wise resolution order. All strategies produce
+  /// byte-identical outputs; only memory behaviour and metrics differ.
   ShuffleConfig shuffle;
   /// Full cluster-simulation knobs (per-worker queues, capacity q,
   /// stragglers, heterogeneous speeds). When enabled, JobMetrics gains
@@ -128,8 +127,8 @@ struct JobOptions {
 
 /// Field-wise merge of per-round overrides onto defaults: every field left
 /// at its unset value (0 / nullptr / kAuto / "" / disabled simulation)
-/// inherits the default's value. This is the single merge rule used by
-/// Pipeline round defaults and the plan executor — a round overriding only
+/// inherits the default's value. This is the single merge rule the plan
+/// executor applies to its round defaults — a round overriding only
 /// `num_shards` still gets the defaults' memory budget, simulation, and
 /// thread sizing.
 inline JobOptions MergedJobOptions(JobOptions overrides,
@@ -858,14 +857,17 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
                  ReduceFn>::StageGroupAndReduce() {
   auto self = self_.lock();
   if (strategy_ == ShuffleStrategy::kExternal) {
+    // Sized before the Merge task exists: once its map dependencies are
+    // done (tiny chunks can finish while the graph is still being built)
+    // the merge runs at once and fills range_begin_.
+    const std::size_t ranges =
+        std::max<std::size_t>(1, exec_.pool().num_threads() * 2);
+    range_begin_.assign(ranges + 1, 0);
     const TaskId merge = exec_.AddTask(StageKind::kShuffle, round_tag_,
                                        map_tasks_,
                                        [self] { self->MergeSpills(); },
                                        /*speculatable=*/false, "Merge");
     group_tasks_ = {merge};
-    const std::size_t ranges =
-        std::max<std::size_t>(1, exec_.pool().num_threads() * 2);
-    range_begin_.assign(ranges + 1, 0);
     reduce_tasks_.reserve(ranges);
     for (std::size_t t = 0; t < ranges; ++t) {
       reduce_tasks_.push_back(
@@ -967,7 +969,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
       // Post-combine rows are what cross the shuffle. The combined block
       // is sliced by accumulated ByteSizeOf at the chunk's budget share;
       // each slice sorts and spills as one columnar run. Spill positions
-      // are the post-combine emission order, matching the RunWriter path.
+      // are the post-combine emission order.
       const std::uint64_t budget =
           options_.shuffle.memory_budget_bytes / num_map_tasks_;
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
@@ -1000,11 +1002,10 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
             });
       }
     } else {
-      // One block buffer at the chunk's full budget share (the old path
-      // halved the share between the pair buffer and the RunWriter's
-      // serialized batch; blocks spill straight from the emitter, so
-      // there is no second stage to reserve for). Each overflowed block
-      // sorts and spills as one columnar run.
+      // One block buffer at the chunk's full budget share: blocks spill
+      // straight from the emitter, so there is no second stage to
+      // reserve budget for. Each overflowed block sorts and spills as one
+      // columnar run.
       const std::uint64_t share =
           options_.shuffle.memory_budget_bytes / num_map_tasks_;
       std::uint64_t next_local = 0;

@@ -49,9 +49,8 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
           ? MergedJobOptions(*node.options, options.pipeline.round_defaults)
           : options.pipeline.round_defaults;
   resolved.shuffle = resolved.shuffle.MergedOver(options.pipeline.shuffle);
-  // Pipeline-wide simulation backstop, exactly as Pipeline::Resolve
-  // applies it: a round that configures nothing itself inherits the
-  // pipeline's simulated cluster.
+  // Execution-wide simulation backstop: a round that configures nothing
+  // itself inherits the execution's simulated cluster.
   if (!resolved.simulation.enabled() &&
       options.pipeline.simulation.enabled()) {
     resolved.simulation = options.pipeline.simulation;
@@ -562,7 +561,7 @@ std::string ExplainPlanGraph(const PlanGraph& graph,
                  ? std::string(", spill dir: <system temp>")
                  : ", spill dir: " + resolved.shuffle.spill_dir);
     }
-    // ResolveRoundOptions already applied the pipeline-wide backstop.
+    // ResolveRoundOptions already applied the execution-wide backstop.
     const SimulationOptions simulation = resolved.ResolvedSimulation();
     os << "\n  simulation: ";
     if (simulation.enabled()) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/cost_model.h"
 #include "src/core/lower_bound.h"
 #include "src/engine/dist_round.h"
@@ -22,7 +23,6 @@
 #include "src/engine/hashing.h"
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
 
 namespace mrcost::engine {
 
@@ -201,11 +201,38 @@ struct DistOptions {
   int kill_after_fetches = 0;
 };
 
+/// Execution-wide knobs of a multi-round plan (ExecutionOptions::pipeline).
+struct PipelineOptions {
+  /// Pool size when the execution owns its pool. 0 = hardware concurrency.
+  std::size_t num_threads = 0;
+  /// Optional external pool; when set the execution does not construct
+  /// one.
+  common::ThreadPool* pool = nullptr;
+  /// Defaults applied to every round (num_shards, shuffle config,
+  /// simulation knobs). A round's own JobOptions
+  /// (KeyedDataset::WithOptions) is merged over these defaults field-wise
+  /// (MergedJobOptions): fields the round leaves unset inherit the
+  /// default — a round overriding only `num_shards` still runs under the
+  /// defaults' memory budget. In-process, every round runs on the
+  /// execution's shared pool whatever its own pool field says.
+  JobOptions round_defaults;
+  /// Execution-wide cluster simulation: applied to any round whose own
+  /// options leave simulation off, so one knob simulates every round of a
+  /// multi-round computation under the same cluster.
+  SimulationOptions simulation;
+  /// Execution-wide shuffle backstop, mirroring `simulation`: any shuffle
+  /// field a round (and the round defaults) leaves unset inherits this
+  /// config field-wise, so one setting runs every round of a multi-round
+  /// computation under the same external-shuffle budget. See
+  /// ShuffleConfig's comment for the full resolution order.
+  ShuffleConfig shuffle;
+};
+
 /// Knobs for Plan::Execute / ExecuteAsync.
 struct ExecutionOptions {
-  /// Thread sizing, round defaults, simulation, and the pipeline-wide
-  /// shuffle backstop — exactly what the eager Pipeline takes, so a plan
-  /// execution is configured like the pipeline it lowers onto.
+  /// Thread sizing, round defaults, simulation, and the execution-wide
+  /// shuffle backstop; ResolveRoundOptions merges them into each round's
+  /// JobOptions.
   PipelineOptions pipeline;
   /// Per-round strategy chooser: a round whose resolved shuffle strategy
   /// is still kAuto gets serial/sharded/external picked from its
@@ -254,9 +281,9 @@ struct ExecutionOptions {
   ExecutionOptions() = default;
   explicit ExecutionOptions(PipelineOptions options)
       : pipeline(std::move(options)) {}
-  /// Convenience mirroring Pipeline(const JobOptions&): a plan execution
-  /// matching one round's JobOptions — what the family drivers construct
-  /// from their caller-facing options argument.
+  /// A plan execution matching one round's JobOptions (pool or thread
+  /// count, shard count, shuffle, simulation) — what the family drivers
+  /// construct from their caller-facing options argument.
   explicit ExecutionOptions(const JobOptions& round_defaults) {
     pipeline.num_threads = round_defaults.num_threads;
     pipeline.pool = round_defaults.pool;
@@ -391,10 +418,10 @@ MapSample SampleMapFanout(
   return sample;
 }
 
-/// Resolves the JobOptions one round executes with: per-round overrides
-/// merged over the execution's round defaults, then the pipeline-wide
-/// shuffle backstop — the same order Pipeline::Resolve applies, computed
-/// here too so the strategy chooser sees the merged view.
+/// Resolves the JobOptions one round executes with — the one place that
+/// decides the option-merge order: per-round overrides merged over the
+/// execution's round defaults, then the execution-wide shuffle and
+/// simulation backstops. The strategy chooser sees this merged view.
 JobOptions ResolveRoundOptions(const PlanNode& node,
                                const ExecutionOptions& options);
 

@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/engine/hashing.h"
-#include "src/obs/trace.h"
 #include "src/storage/block.h"
 #include "src/storage/external_merge.h"
 #include "src/storage/run_writer.h"
@@ -23,7 +21,7 @@ namespace mrcost::engine {
 
 /// How a round's shuffle is executed.
 ///   kAuto     — kExternal when a memory budget is set, else kSharded.
-///   kSerial   — the single-map reference shuffle (one thread, no shards).
+///   kSerial   — the in-memory shuffle on a single shard (one group task).
 ///   kSharded  — radix-partitioned parallel in-memory shuffle.
 ///   kExternal — spill-to-disk shuffle: map-side batches over the memory
 ///               budget are sorted and spilled as runs, then k-way merged
@@ -50,14 +48,13 @@ enum class PartitionerKind { kAuto = 0, kHash, kSampledRange };
 
 const char* ToString(PartitionerKind kind);
 
-/// The one shuffle-configuration struct, shared by every layer that used
-/// to duplicate these knobs (JobOptions, PipelineOptions, and the external
-/// shuffle's own options). Resolution order, applied field-wise — each
-/// field's zero value (kAuto / 0 / "") means "unset":
+/// The one shuffle-configuration struct, shared by JobOptions (one round)
+/// and PipelineOptions (a plan execution). Resolution order, applied
+/// field-wise — each field's zero value (kAuto / 0 / "") means "unset":
 ///   1. explicit per-round settings (JobOptions::shuffle) win;
-///   2. fields still unset inherit the pipeline-wide config
-///      (PipelineOptions::shuffle / the plan executor's
-///      ExecutionOptions) via MergedOver;
+///   2. fields still unset inherit the round defaults and then the
+///      execution-wide config (ExecutionOptions::pipeline.shuffle) via
+///      MergedOver;
 ///   3. a still-kAuto strategy resolves through Resolved(): kExternal when
 ///      a memory budget is set, else kSharded. The plan executor's
 ///      per-round chooser (src/engine/plan.h) refines this step using the
@@ -146,9 +143,9 @@ struct ShuffleResult {
 };
 
 /// Serial reference shuffle: a single hash map over all chunks, as the seed
-/// engine did inline. Kept both as the one-shard fast path (no hashing
-/// prepass, no merge) and as the benchmark baseline the sharded shuffle is
-/// measured against.
+/// engine did inline. The test oracle the production shuffle (the staged
+/// round in src/engine/executor.h, every strategy and shard count) is
+/// checked against; no production path calls it.
 template <typename Key, typename Value>
 ShuffleResult<Key, Value> SerialShuffle(
     std::vector<std::vector<std::pair<Key, Value>>>& chunks) {
@@ -165,229 +162,6 @@ ShuffleResult<Key, Value> SerialShuffle(
     }
     chunk.clear();
     chunk.shrink_to_fit();
-  }
-  return result;
-}
-
-/// Sharded parallel shuffle. A radix-partition pass routes every pair into
-/// one of `num_shards` independent shards by finalized key hash (parallel
-/// over chunks, O(pairs) total); each shard then groups its own keys on a
-/// pool thread with a private hash map a factor `num_shards` smaller (and
-/// correspondingly more cache-resident) than the serial shuffle's single
-/// table; a deterministic merge finally restores the global first-seen key
-/// order. Consumes `chunks`.
-template <typename Key, typename Value>
-ShuffleResult<Key, Value> ShardedShuffle(
-    std::vector<std::vector<std::pair<Key, Value>>>& chunks,
-    common::ThreadPool& pool, std::size_t num_shards) {
-  if (num_shards <= 1) return SerialShuffle(chunks);
-  const std::size_t num_chunks = chunks.size();
-
-  // Global emission position of the first pair of each chunk, so shards can
-  // tag every key with the position of its first occurrence.
-  std::vector<std::uint64_t> chunk_offset(num_chunks + 1, 0);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    chunk_offset[c + 1] = chunk_offset[c] + chunks[c].size();
-  }
-
-  // Pass 1 (radix partition): each chunk routes its pairs, tagged with
-  // their global position, into per-(chunk, shard) buckets. Hashes are
-  // finalized exactly once here.
-  struct Routed {
-    std::uint64_t pos;
-    std::pair<Key, Value> kv;
-  };
-  std::vector<std::vector<Routed>> buckets(num_chunks * num_shards);
-  common::ParallelFor(pool, 0, num_chunks, [&](std::size_t c) {
-    std::vector<Routed>* out = &buckets[c * num_shards];
-    for (std::size_t i = 0; i < chunks[c].size(); ++i) {
-      const std::size_t p =
-          IndexOfHash(HashValue(chunks[c][i].first), num_shards);
-      out[p].push_back(Routed{chunk_offset[c] + i, std::move(chunks[c][i])});
-    }
-    chunks[c].clear();
-    chunks[c].shrink_to_fit();
-  });
-
-  // Pass 2: each shard groups the pairs it owns. Scanning its buckets in
-  // chunk order visits pairs in global scan order, so per-shard key order
-  // (and value order within a key) is already deterministic.
-  struct Shard {
-    std::unordered_map<Key, std::size_t, KeyHash> index;
-    std::vector<Key> keys;
-    std::vector<std::vector<Value>> groups;
-    std::vector<std::uint64_t> first_pos;  // increasing by construction
-  };
-  std::vector<Shard> shards(num_shards);
-  common::ParallelFor(pool, 0, num_shards, [&](std::size_t p) {
-    Shard& shard = shards[p];
-    std::size_t owned = 0;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      owned += buckets[c * num_shards + p].size();
-    }
-    shard.index.reserve(owned);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      auto& bucket = buckets[c * num_shards + p];
-      for (Routed& routed : bucket) {
-        auto& [key, value] = routed.kv;
-        auto [it, inserted] = shard.index.try_emplace(key, shard.keys.size());
-        if (inserted) {
-          shard.keys.push_back(key);
-          shard.groups.emplace_back();
-          shard.first_pos.push_back(routed.pos);
-        }
-        shard.groups[it->second].push_back(std::move(value));
-      }
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-  });
-
-  // Deterministic merge: interleave the shards' (already ordered) key lists
-  // back into global first-seen order.
-  std::size_t total_keys = 0;
-  for (const Shard& shard : shards) total_keys += shard.keys.size();
-  struct MergeEntry {
-    std::uint64_t first_pos;
-    std::uint32_t shard;
-    std::uint32_t index;
-  };
-  std::vector<MergeEntry> order;
-  order.reserve(total_keys);
-  for (std::size_t p = 0; p < num_shards; ++p) {
-    for (std::size_t i = 0; i < shards[p].keys.size(); ++i) {
-      order.push_back(MergeEntry{shards[p].first_pos[i],
-                                 static_cast<std::uint32_t>(p),
-                                 static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const MergeEntry& a, const MergeEntry& b) {
-              return a.first_pos < b.first_pos;
-            });
-
-  ShuffleResult<Key, Value> result;
-  result.keys.reserve(total_keys);
-  result.groups.reserve(total_keys);
-  for (const MergeEntry& e : order) {
-    result.keys.push_back(std::move(shards[e.shard].keys[e.index]));
-    result.groups.push_back(std::move(shards[e.shard].groups[e.index]));
-  }
-  return result;
-}
-
-/// Columnar counterpart of ShardedShuffle, and the form the staged
-/// executor uses internally: inputs arrive as KVBlocks (one per map
-/// chunk), the radix pass routes *row indices* into per-(block, shard)
-/// index lists — no pair is copied — and each shard groups its rows
-/// through a storage::KeyIndex probe over the blocks' precomputed hashes
-/// and key-byte views. Values move exactly once, block column to group.
-/// Consumes the blocks' values (blocks stay allocated until return).
-template <typename Key, typename Value>
-ShuffleResult<Key, Value> BlockShardedShuffle(
-    std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>>& blocks,
-    common::ThreadPool& pool, std::size_t num_shards) {
-  const std::size_t num_blocks = blocks.size();
-  num_shards = std::max<std::size_t>(1, num_shards);
-
-  obs::TraceSpan shuffle_span("BlockShardedShuffle", "shuffle");
-  if (shuffle_span.active()) {
-    shuffle_span.AddArg(
-        obs::Arg("blocks", static_cast<std::uint64_t>(num_blocks)));
-    shuffle_span.AddArg(
-        obs::Arg("shards", static_cast<std::uint64_t>(num_shards)));
-  }
-
-  std::vector<std::uint64_t> block_offset(num_blocks + 1, 0);
-  for (std::size_t c = 0; c < num_blocks; ++c) {
-    block_offset[c + 1] =
-        block_offset[c] + (blocks[c] ? blocks[c]->rows() : 0);
-  }
-
-  // Pass 1 (radix partition): route row indices, never rows.
-  obs::TraceSpan radix_span("RadixPartition", "shuffle");
-  std::vector<std::vector<std::uint32_t>> rows(num_blocks * num_shards);
-  common::ParallelFor(pool, 0, num_blocks, [&](std::size_t c) {
-    if (!blocks[c]) return;
-    const auto& block = *blocks[c];
-    std::vector<std::uint32_t>* out = &rows[c * num_shards];
-    for (std::size_t r = 0; r < block.rows(); ++r) {
-      const std::size_t p =
-          num_shards == 1 ? 0 : IndexOfHash(block.hash(r), num_shards);
-      out[p].push_back(static_cast<std::uint32_t>(r));
-    }
-  });
-  radix_span.End();
-
-  // Pass 2: group each shard's rows. Scanning blocks in order visits rows
-  // in global scan order, so per-shard first_pos is increasing.
-  obs::TraceSpan group_span("ShardGroup", "shuffle");
-  struct Shard {
-    std::vector<Key> keys;
-    std::vector<std::vector<Value>> groups;
-    std::vector<std::uint64_t> first_pos;
-  };
-  std::vector<Shard> shards(num_shards);
-  common::ParallelFor(pool, 0, num_shards, [&](std::size_t p) {
-    Shard& shard = shards[p];
-    std::size_t owned = 0;
-    for (std::size_t c = 0; c < num_blocks; ++c) {
-      owned += rows[c * num_shards + p].size();
-    }
-    storage::KeyIndex index;
-    index.Reserve(owned);
-    for (std::size_t c = 0; c < num_blocks; ++c) {
-      auto& bucket = rows[c * num_shards + p];
-      if (!blocks[c]) continue;
-      auto& block = *blocks[c];
-      for (const std::uint32_t r : bucket) {
-        bool inserted = false;
-        const std::size_t g =
-            index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-        if (inserted) {
-          shard.keys.push_back(block.KeyAt(r));
-          shard.groups.emplace_back();
-          shard.first_pos.push_back(block_offset[c] + r);
-        }
-        shard.groups[g].push_back(std::move(block.value(r)));
-      }
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-  });
-  group_span.End();
-
-  std::size_t total_keys = 0;
-  for (const Shard& shard : shards) total_keys += shard.keys.size();
-  if (shuffle_span.active()) {
-    shuffle_span.AddArg(
-        obs::Arg("keys", static_cast<std::uint64_t>(total_keys)));
-  }
-  struct MergeEntry {
-    std::uint64_t first_pos;
-    std::uint32_t shard;
-    std::uint32_t index;
-  };
-  std::vector<MergeEntry> order;
-  order.reserve(total_keys);
-  for (std::size_t p = 0; p < num_shards; ++p) {
-    for (std::size_t i = 0; i < shards[p].keys.size(); ++i) {
-      order.push_back(MergeEntry{shards[p].first_pos[i],
-                                 static_cast<std::uint32_t>(p),
-                                 static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const MergeEntry& a, const MergeEntry& b) {
-              return a.first_pos < b.first_pos;
-            });
-
-  ShuffleResult<Key, Value> result;
-  result.keys.reserve(total_keys);
-  result.groups.reserve(total_keys);
-  for (const MergeEntry& e : order) {
-    result.keys.push_back(std::move(shards[e.shard].keys[e.index]));
-    result.groups.push_back(std::move(shards[e.shard].groups[e.index]));
   }
   return result;
 }
@@ -416,36 +190,12 @@ ShuffleResult<Key, Value> ReorderByFirstSeen(
   return result;
 }
 
-/// Builds the merge inputs from per-chunk writers' unspilled tails plus
-/// every disk run, merges, and reorders. `spiller` must outlive the call
-/// (it owns the run files) but not the result.
-template <typename Key, typename Value>
-common::Result<ShuffleResult<Key, Value>> MergeSpilledRuns(
-    storage::RunSpiller& spiller,
-    std::vector<std::vector<storage::SpillRecord>>& tails,
-    std::size_t merge_fan_in, storage::SpillStats& stats) {
-  std::vector<std::unique_ptr<storage::RunSource>> sources;
-  for (auto& tail : tails) {
-    if (!tail.empty()) {
-      sources.push_back(
-          std::make_unique<storage::MemoryRunSource>(std::move(tail)));
-    }
-  }
-  for (const std::string& path : spiller.spill_run_paths()) {
-    sources.push_back(std::make_unique<storage::DiskRunSource>(path));
-  }
-  auto merged = storage::MergeRunsToGroups<Key, Value>(
-      std::move(sources), spiller, merge_fan_in, stats);
-  if (!merged.ok()) return merged.status();
-  stats.spill_runs = spiller.spill_runs();
-  stats.spill_bytes_written = spiller.bytes_written();
-  return ReorderByFirstSeen(*merged);
-}
-
-/// Block-format counterpart of MergeSpilledRuns: tails are columnar runs,
-/// disk runs are version-2 block files, and the merge walks block cursors
-/// (storage::BlockLoserTree). Fills `stats.encode` with the spiller's
-/// raw-vs-encoded counters on top of the run/byte counts.
+/// Builds the merge inputs from per-chunk unspilled tails (columnar runs)
+/// plus every block run file the spiller wrote, merges them over block
+/// cursors (storage::BlockLoserTree), and reorders the groups by first
+/// seen. Fills `stats.encode` with the spiller's raw-vs-encoded counters
+/// on top of the run/byte counts. `spiller` must outlive the call (it owns
+/// the run files) but not the result.
 template <typename Key, typename Value>
 common::Result<ShuffleResult<Key, Value>> MergeSpilledBlockRuns(
     storage::RunSpiller& spiller,
@@ -471,48 +221,6 @@ common::Result<ShuffleResult<Key, Value>> MergeSpilledBlockRuns(
 }
 
 }  // namespace internal
-
-/// External (spill-to-disk) shuffle over materialized chunks: each chunk
-/// streams through a budgeted RunWriter (over-budget batches become sorted
-/// disk runs, chunks are freed as they are consumed), and a k-way
-/// loser-tree merge groups the runs back in key order before the
-/// first-seen reorder. Byte-identical to SerialShuffle for every budget,
-/// chunking, and fan-in; errors (I/O failure, corrupt run) surface as a
-/// Status. Consumes `chunks`.
-template <typename Key, typename Value>
-common::Result<ShuffleResult<Key, Value>> ExternalShuffle(
-    std::vector<std::vector<std::pair<Key, Value>>>& chunks,
-    common::ThreadPool& pool, const ShuffleConfig& options,
-    storage::SpillStats* stats = nullptr) {
-  const std::size_t num_chunks = chunks.size();
-  storage::RunSpiller spiller(options.spill_dir);
-  const std::uint64_t per_chunk_budget =
-      options.memory_budget_bytes / std::max<std::size_t>(1, num_chunks);
-  std::vector<std::vector<storage::SpillRecord>> tails(num_chunks);
-  std::vector<common::Status> chunk_status(num_chunks);
-  common::ParallelFor(pool, 0, num_chunks, [&](std::size_t c) {
-    storage::RunWriter<Key, Value> writer(&spiller, per_chunk_budget,
-                                          static_cast<std::uint32_t>(c));
-    for (auto& [key, value] : chunks[c]) {
-      if (auto status = writer.Add(HashValue(key), key, value);
-          !status.ok()) {
-        chunk_status[c] = status;
-        return;
-      }
-    }
-    chunks[c].clear();
-    chunks[c].shrink_to_fit();
-    tails[c] = writer.TakeTail();
-  });
-  for (const common::Status& status : chunk_status) {
-    if (!status.ok()) return status;
-  }
-  storage::SpillStats local;
-  auto result = internal::MergeSpilledRuns<Key, Value>(
-      spiller, tails, options.merge_fan_in, local);
-  if (result.ok() && stats != nullptr) *stats = local;
-  return result;
-}
 
 }  // namespace mrcost::engine
 

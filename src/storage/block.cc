@@ -385,14 +385,16 @@ common::Status DecodeBlock(std::string_view payload, ColumnarRun& run) {
     }
   }
 
-  std::int64_t prev = 0;
+  // Unsigned accumulation wraps where a corrupt delta would overflow a
+  // signed sum, and equals the signed sum on every well-formed block.
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t delta = 0;
     if (!GetVarint(p, body_end, delta)) {
       return common::Status::Internal("block: truncated position");
     }
-    prev += ZigZagDecode(delta);
-    run.positions.push_back(static_cast<std::uint64_t>(prev));
+    prev += static_cast<std::uint64_t>(ZigZagDecode(delta));
+    run.positions.push_back(prev);
   }
 
   for (std::uint64_t i = 0; i < n; ++i) {

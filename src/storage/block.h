@@ -189,8 +189,9 @@ struct RecordView {
 };
 
 /// The spill order every run is sorted in and the k-way merge pops in:
-/// (hash, key bytes, position) — the same total order the record-based
-/// spill path used (SpillRecordLess), so determinism arguments carry over.
+/// (hash, key bytes, position). Serialization is injective, so equal
+/// (hash, key bytes) means equal keys, and ordering by position within a
+/// key reproduces emission order — the engine's determinism contract.
 inline bool RecordViewLess(const RecordView& a, const RecordView& b) {
   if (a.hash != b.hash) return a.hash < b.hash;
   const int c = a.key.compare(b.key);

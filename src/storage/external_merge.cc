@@ -5,141 +5,6 @@
 
 namespace mrcost::storage {
 
-bool DiskRunSource::Next(SpillRecord& out) {
-  if (done_ || !status_.ok()) return false;
-  if (!opened_) {
-    opened_ = true;
-    auto reader = SpillFileReader::Open(path_);
-    if (!reader.ok()) {
-      status_ = reader.status();
-      return false;
-    }
-    reader_ = std::make_unique<SpillFileReader>(std::move(reader.value()));
-  }
-  while (cursor_ == nullptr || cursor_ == block_.data() + block_.size()) {
-    bool file_done = false;
-    status_ = reader_->Next(block_, file_done);
-    if (!status_.ok()) return false;
-    if (file_done) {
-      done_ = true;
-      return false;
-    }
-    cursor_ = block_.data();
-  }
-  const char* end = block_.data() + block_.size();
-  if (!DecodeRecord(cursor_, end, out)) {
-    status_ = common::Status::Internal(
-        "spill file: malformed record in block of " + path_);
-    return false;
-  }
-  return true;
-}
-
-LoserTree::LoserTree(std::vector<RunSource*> sources)
-    : sources_(std::move(sources)),
-      current_(sources_.size()),
-      valid_(sources_.size(), false) {
-  const std::size_t k = sources_.size();
-  for (std::size_t s = 0; s < k; ++s) {
-    valid_[s] = sources_[s]->Next(current_[s]);
-    if (!valid_[s] && !sources_[s]->status().ok()) {
-      status_ = sources_[s]->status();
-    }
-  }
-  if (k <= 1) {
-    winner_ = 0;
-    return;
-  }
-  // Build the tournament bottom-up in the complete-tree layout: leaves are
-  // nodes k..2k-1 (leaf k+s = source s), internal nodes 1..k-1 each store
-  // the loser of their subtree while the winner advances.
-  std::vector<std::size_t> winners(2 * k);
-  for (std::size_t s = 0; s < k; ++s) winners[k + s] = s;
-  losers_.assign(k, 0);
-  for (std::size_t node = k - 1; node >= 1; --node) {
-    const std::size_t a = winners[2 * node];
-    const std::size_t b = winners[2 * node + 1];
-    const bool a_wins = Beats(a, b);
-    winners[node] = a_wins ? a : b;
-    losers_[node] = a_wins ? b : a;
-  }
-  winner_ = winners[1];
-}
-
-bool LoserTree::Beats(std::size_t a, std::size_t b) const {
-  if (!valid_[a]) return false;
-  if (!valid_[b]) return true;
-  return SpillRecordLess(current_[a], current_[b]);
-}
-
-void LoserTree::Replay(std::size_t source) {
-  const std::size_t k = sources_.size();
-  std::size_t w = source;
-  for (std::size_t node = (k + source) / 2; node >= 1; node /= 2) {
-    if (Beats(losers_[node], w)) std::swap(w, losers_[node]);
-  }
-  winner_ = w;
-}
-
-bool LoserTree::Next(SpillRecord& out) {
-  if (sources_.empty() || !status_.ok() || !valid_[winner_]) return false;
-  out = std::move(current_[winner_]);
-  valid_[winner_] = sources_[winner_]->Next(current_[winner_]);
-  if (!valid_[winner_] && !sources_[winner_]->status().ok()) {
-    status_ = sources_[winner_]->status();
-    return false;
-  }
-  if (sources_.size() > 1) Replay(winner_);
-  return true;
-}
-
-common::Status ReduceFanIn(std::vector<std::unique_ptr<RunSource>>& sources,
-                           RunSpiller& spiller, std::size_t max_fan_in,
-                           SpillStats& stats) {
-  if (max_fan_in < 2) max_fan_in = 2;
-  while (sources.size() > max_fan_in) {
-    stats.merge_passes += 1;
-    obs::TraceSpan pass_span("MergePass", "spill");
-    if (pass_span.active()) {
-      pass_span.AddArg(
-          obs::Arg("runs_in", static_cast<std::uint64_t>(sources.size())));
-      pass_span.AddArg(
-          obs::Arg("fan_in", static_cast<std::uint64_t>(max_fan_in)));
-    }
-    if (obs::MetricsEnabled()) {
-      obs::Registry::Global().AddCounter("storage.merge_passes", 1);
-    }
-    std::vector<std::unique_ptr<RunSource>> next;
-    next.reserve((sources.size() + max_fan_in - 1) / max_fan_in);
-    for (std::size_t lo = 0; lo < sources.size(); lo += max_fan_in) {
-      const std::size_t hi = std::min(lo + max_fan_in, sources.size());
-      if (hi - lo == 1) {
-        next.push_back(std::move(sources[lo]));
-        continue;
-      }
-      std::vector<RunSource*> batch;
-      batch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        batch.push_back(sources[i].get());
-      }
-      LoserTree tree(std::move(batch));
-      auto writer = spiller.NewRun();
-      if (!writer.ok()) return writer.status();
-      SpillRecord rec;
-      while (tree.Next(rec)) {
-        if (auto status = writer->Append(rec); !status.ok()) return status;
-      }
-      if (auto status = tree.status(); !status.ok()) return status;
-      if (auto status = spiller.CloseRun(*writer); !status.ok()) {
-        return status;
-      }
-      next.push_back(std::make_unique<DiskRunSource>(writer->path()));
-    }
-    sources = std::move(next);
-  }
-  return common::Status::Ok();
-}
-
 const RecordView* DiskBlockRunSource::Peek() {
   if (done_ || !status_.ok()) return nullptr;
   if (!opened_) {
@@ -147,11 +12,6 @@ const RecordView* DiskBlockRunSource::Peek() {
     auto reader = SpillFileReader::Open(path_);
     if (!reader.ok()) {
       status_ = reader.status();
-      return nullptr;
-    }
-    if (reader->version() != kSpillFormatVersionBlocks) {
-      status_ = common::Status::InvalidArgument(
-          "spill file: " + path_ + " is not a block-format run");
       return nullptr;
     }
     reader_ = std::make_unique<SpillFileReader>(std::move(reader.value()));
@@ -184,6 +44,9 @@ BlockLoserTree::BlockLoserTree(std::vector<BlockRunSource*> sources)
     winner_ = 0;
     return;
   }
+  // Build the tournament bottom-up in the complete-tree layout: leaves are
+  // nodes k..2k-1 (leaf k+s = source s), internal nodes 1..k-1 each store
+  // the loser of their subtree while the winner advances.
   std::vector<std::size_t> winners(2 * k);
   for (std::size_t s = 0; s < k; ++s) winners[k + s] = s;
   losers_.assign(k, 0);

@@ -19,85 +19,6 @@ namespace mrcost::storage {
 /// Runs merged per k-way pass when the caller does not say otherwise.
 inline constexpr std::size_t kDefaultMergeFanIn = 64;
 
-/// A sorted stream of spill records (one run). Next returns false when the
-/// stream is drained or errored — check status() to tell the two apart.
-class RunSource {
- public:
-  virtual ~RunSource() = default;
-  virtual bool Next(SpillRecord& out) = 0;
-  virtual common::Status status() const = 0;
-};
-
-/// An unspilled in-memory tail, already sorted by SpillRecordLess.
-class MemoryRunSource : public RunSource {
- public:
-  explicit MemoryRunSource(std::vector<SpillRecord> records)
-      : records_(std::move(records)) {}
-
-  bool Next(SpillRecord& out) override {
-    if (next_ >= records_.size()) return false;
-    out = std::move(records_[next_++]);
-    return true;
-  }
-  common::Status status() const override { return common::Status::Ok(); }
-
- private:
-  std::vector<SpillRecord> records_;
-  std::size_t next_ = 0;
-};
-
-/// A spill-run file, streamed block by block (so a k-way merge holds k
-/// blocks in memory, not k runs).
-class DiskRunSource : public RunSource {
- public:
-  explicit DiskRunSource(std::string path) : path_(std::move(path)) {}
-
-  bool Next(SpillRecord& out) override;
-  common::Status status() const override { return status_; }
-
- private:
-  std::string path_;
-  std::unique_ptr<SpillFileReader> reader_;  // opened on first Next
-  bool opened_ = false;
-  bool done_ = false;
-  common::Status status_;
-  std::string block_;
-  const char* cursor_ = nullptr;
-};
-
-/// Loser-tree k-way merge: pops the least record (by SpillRecordLess)
-/// across all sources with one leaf-to-root replay per pop — log2(k)
-/// comparisons instead of the k-1 a naive scan costs. Positions are
-/// globally unique, so the order is total and the merge deterministic.
-class LoserTree {
- public:
-  explicit LoserTree(std::vector<RunSource*> sources);
-
-  /// False when every source is drained or one errored (see status()).
-  bool Next(SpillRecord& out);
-  common::Status status() const { return status_; }
-
- private:
-  /// True iff source `a`'s current record beats (precedes) source `b`'s;
-  /// exhausted sources lose to everything.
-  bool Beats(std::size_t a, std::size_t b) const;
-  void Replay(std::size_t source);
-
-  std::vector<RunSource*> sources_;
-  std::vector<SpillRecord> current_;
-  std::vector<bool> valid_;
-  std::vector<std::size_t> losers_;  // internal nodes 1..k-1
-  std::size_t winner_ = 0;
-  common::Status status_;
-};
-
-/// Merges `sources` down to at most `max_fan_in` by rewriting batches of
-/// runs into single merged runs through `spiller`. Each sweep over the
-/// sources counts one merge pass in `stats`.
-common::Status ReduceFanIn(std::vector<std::unique_ptr<RunSource>>& sources,
-                           RunSpiller& spiller, std::size_t max_fan_in,
-                           SpillStats& stats);
-
 /// Merge output: groups in (hash, key bytes) order — "key order" for the
 /// external shuffle — with each group's values in emission order and
 /// first_pos[i] the global position where keys[i] first appeared. The
@@ -109,68 +30,10 @@ struct MergedGroups {
   std::vector<std::uint64_t> first_pos;
 };
 
-/// The final merge pass: reduces fan-in if needed, then streams the merged
-/// record order once, cutting it into groups at key-byte boundaries and
-/// deserializing each key once and each value once.
-template <typename Key, typename Value>
-common::Result<MergedGroups<Key, Value>> MergeRunsToGroups(
-    std::vector<std::unique_ptr<RunSource>> sources, RunSpiller& spiller,
-    std::size_t max_fan_in, SpillStats& stats) {
-  if (max_fan_in == 0) max_fan_in = kDefaultMergeFanIn;
-  if (auto status = ReduceFanIn(sources, spiller, max_fan_in, stats);
-      !status.ok()) {
-    return status;
-  }
-  stats.merge_passes += 1;
-
-  std::vector<RunSource*> raw;
-  raw.reserve(sources.size());
-  for (const auto& source : sources) raw.push_back(source.get());
-  LoserTree tree(std::move(raw));
-
-  MergedGroups<Key, Value> out;
-  SpillRecord rec;
-  std::uint64_t prev_hash = 0;
-  std::string prev_key;
-  bool has_prev = false;
-  while (tree.Next(rec)) {
-    const bool new_group =
-        !has_prev || rec.hash != prev_hash || rec.key_bytes() != prev_key;
-    if (new_group) {
-      prev_hash = rec.hash;
-      prev_key.assign(rec.key_bytes());
-      has_prev = true;
-      Key key;
-      const char* p = rec.bytes.data();
-      if (!DeserializeValue(p, p + rec.key_size, key)) {
-        return common::Status::Internal(
-            "external merge: corrupt key bytes in spill record");
-      }
-      out.keys.push_back(std::move(key));
-      out.groups.emplace_back();
-      out.first_pos.push_back(rec.pos);
-    }
-    Value value;
-    const char* p = rec.bytes.data() + rec.key_size;
-    if (!DeserializeValue(p, rec.bytes.data() + rec.bytes.size(), value)) {
-      return common::Status::Internal(
-          "external merge: corrupt value bytes in spill record");
-    }
-    out.groups.back().push_back(std::move(value));
-  }
-  if (auto status = tree.status(); !status.ok()) return status;
-  return out;
-}
-
-// ----------------------------------------------------------------------
-// Block-cursor merge (spill format v2).
-//
-// The record path above materializes a SpillRecord (an owning std::string)
-// per pop. The block path merges *cursors*: each source exposes a borrowed
-// RecordView into its current decoded block, the loser tree compares
-// views, and consumers copy only what they keep (group values) or
-// re-append raw bytes (merge rewrites). No per-record allocation anywhere
-// in the merge.
+// The merge walks *cursors*: each source exposes a borrowed RecordView
+// into its current decoded block, the loser tree compares views, and
+// consumers copy only what they keep (group values) or re-append raw
+// bytes (merge rewrites). No per-record allocation anywhere in the merge.
 
 /// A sorted stream of records in columnar form. Peek returns the current
 /// record or nullptr when drained/errored (check status()); the view stays
@@ -202,7 +65,7 @@ class MemoryBlockRunSource : public BlockRunSource {
   RecordView view_;
 };
 
-/// A version-2 spill file, streamed and decoded one block at a time (a
+/// A spill run file, streamed and decoded one block at a time (a
 /// k-way merge holds k decoded blocks, not k runs).
 class DiskBlockRunSource : public BlockRunSource {
  public:
@@ -224,9 +87,12 @@ class DiskBlockRunSource : public BlockRunSource {
   RecordView view_;
 };
 
-/// Loser-tree merge over block cursors, same tournament as LoserTree but
-/// popping borrowed views: consume *Peek() before calling Pop — Pop
-/// advances the winning source, which may decode a new block over the
+/// Loser-tree k-way merge over block cursors: pops the least record (by
+/// RecordViewLess) across all sources with one leaf-to-root replay per pop
+/// — log2(k) comparisons instead of the k-1 a naive scan costs. Positions
+/// are globally unique, so the order is total and the merge
+/// deterministic. Views are borrowed: consume *Peek() before calling Pop —
+/// Pop advances the winning source, which may decode a new block over the
 /// view's storage.
 class BlockLoserTree {
  public:
@@ -248,16 +114,18 @@ class BlockLoserTree {
   common::Status status_;
 };
 
-/// Block-format ReduceFanIn: rewrites batches of runs through
-/// `spiller.NewBlockRun`, re-appending raw key/value bytes — records are
-/// never deserialized during fan-in reduction.
+/// Merges `sources` down to at most `max_fan_in` by rewriting batches of
+/// runs into single merged runs through `spiller.NewBlockRun`, re-appending
+/// raw key/value bytes — records are never deserialized during fan-in
+/// reduction. Each sweep over the sources counts one merge pass in
+/// `stats`.
 common::Status ReduceBlockFanIn(
     std::vector<std::unique_ptr<BlockRunSource>>& sources,
     RunSpiller& spiller, std::size_t max_fan_in, SpillStats& stats);
 
-/// Block-format MergeRunsToGroups: the final pass streams the merged view
-/// order, cuts groups at (hash, key bytes) boundaries, deserializes each
-/// key once per group and each value once.
+/// The final merge pass: reduces fan-in if needed, then streams the merged
+/// view order once, cutting it into groups at (hash, key bytes) boundaries
+/// and deserializing each key once per group and each value once.
 template <typename Key, typename Value>
 common::Result<MergedGroups<Key, Value>> MergeBlockRunsToGroups(
     std::vector<std::unique_ptr<BlockRunSource>> sources,

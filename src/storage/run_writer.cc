@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 
@@ -20,77 +21,9 @@ std::uint64_t NextSpillerId() {
 
 }  // namespace
 
-void EncodeRecord(const SpillRecord& rec, std::string& out) {
-  internal::AppendRaw(&rec.hash, sizeof(rec.hash), out);
-  internal::AppendRaw(&rec.pos, sizeof(rec.pos), out);
-  internal::AppendRaw(&rec.key_size, sizeof(rec.key_size), out);
-  const std::uint32_t total = static_cast<std::uint32_t>(rec.bytes.size());
-  internal::AppendRaw(&total, sizeof(total), out);
-  out.append(rec.bytes);
-}
-
-bool DecodeRecord(const char*& p, const char* end, SpillRecord& rec) {
-  std::uint32_t total = 0;
-  if (!internal::ReadRaw(p, end, &rec.hash, sizeof(rec.hash)) ||
-      !internal::ReadRaw(p, end, &rec.pos, sizeof(rec.pos)) ||
-      !internal::ReadRaw(p, end, &rec.key_size, sizeof(rec.key_size)) ||
-      !internal::ReadRaw(p, end, &total, sizeof(total))) {
-    return false;
-  }
-  if (rec.key_size > total ||
-      total > static_cast<std::uint64_t>(end - p)) {
-    return false;
-  }
-  rec.bytes.assign(p, total);
-  p += total;
-  return true;
-}
-
-common::Result<RunFileWriter> RunFileWriter::Create(const std::string& path,
-                                                    std::size_t block_bytes) {
-  auto file = SpillFileWriter::Create(path);
-  if (!file.ok()) return file.status();
-  return RunFileWriter(std::move(file.value()), block_bytes);
-}
-
-common::Status RunFileWriter::Append(const SpillRecord& rec) {
-  // The reader rejects blocks over kMaxBlockBytes, and the u32 length
-  // fields cannot frame more; refuse oversized records at write time with
-  // a clear error instead of producing a run no merge can read, and flush
-  // the current block early when appending would push it past the limit.
-  constexpr std::size_t kRecordHeaderBytes = 24;  // hash, pos, two u32s
-  const std::size_t encoded = kRecordHeaderBytes + rec.bytes.size();
-  if (encoded > kMaxBlockBytes) {
-    return common::Status::InvalidArgument(
-        "run writer: record of " + std::to_string(rec.bytes.size()) +
-        " bytes exceeds the maximum spill block size");
-  }
-  if (!block_.empty() && block_.size() + encoded > kMaxBlockBytes) {
-    auto status = file_.AppendBlock(block_);
-    block_.clear();
-    if (!status.ok()) return status;
-  }
-  EncodeRecord(rec, block_);
-  if (block_.size() >= block_bytes_) {
-    auto status = file_.AppendBlock(block_);
-    block_.clear();
-    return status;
-  }
-  return common::Status::Ok();
-}
-
-common::Status RunFileWriter::Finish() {
-  if (!block_.empty()) {
-    auto status = file_.AppendBlock(block_);
-    block_.clear();
-    if (!status.ok()) return status;
-  }
-  return file_.Close();
-}
-
 common::Result<BlockRunFileWriter> BlockRunFileWriter::Create(
     const std::string& path, const Codec* codec, std::size_t block_bytes) {
-  auto file = SpillFileWriter::Create(path, kSpillFormatVersionBlocks);
+  auto file = SpillFileWriter::Create(path);
   if (!file.ok()) return file.status();
   if (codec == nullptr) codec = &DefaultSpillCodec();
   return BlockRunFileWriter(std::move(file.value()), codec, block_bytes);
@@ -176,43 +109,6 @@ std::string RunSpiller::NextPath() {
       .string();
 }
 
-common::Status RunSpiller::SpillRun(std::vector<SpillRecord>& records) {
-  obs::TraceSpan span("SpillRun", "spill");
-  if (span.active()) {
-    span.AddArg(obs::Arg("rows", static_cast<std::uint64_t>(records.size())));
-  }
-  std::sort(records.begin(), records.end(),
-            [](const SpillRecord& a, const SpillRecord& b) {
-              return SpillRecordLess(a, b);
-            });
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    path = NextPath();
-    spill_paths_.emplace_back(spill_paths_.size(), path);
-  }
-  auto writer = RunFileWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  for (const SpillRecord& rec : records) {
-    if (auto status = writer->Append(rec); !status.ok()) return status;
-  }
-  if (auto status = writer->Finish(); !status.ok()) return status;
-  records.clear();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bytes_written_ += writer->bytes_written();
-  }
-  if (span.active()) {
-    span.AddArg(obs::Arg("bytes", writer->bytes_written()));
-  }
-  if (obs::MetricsEnabled()) {
-    obs::Registry& registry = obs::Registry::Global();
-    registry.AddCounter("storage.spill_runs", 1);
-    registry.AddCounter("storage.spill_bytes", writer->bytes_written());
-  }
-  return common::Status::Ok();
-}
-
 common::Status RunSpiller::SpillBlockRun(ColumnarRun& run,
                                          const Codec* codec) {
   obs::TraceSpan span("SpillBlockRun", "spill");
@@ -278,23 +174,6 @@ common::Status RunSpiller::CloseBlockRun(BlockRunFileWriter& writer) {
 BlockEncodeStats RunSpiller::encode_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return encode_stats_;
-}
-
-common::Result<RunFileWriter> RunSpiller::NewRun() {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    path = NextPath();
-    merge_paths_.push_back(path);
-  }
-  return RunFileWriter::Create(path);
-}
-
-common::Status RunSpiller::CloseRun(RunFileWriter& writer) {
-  if (auto status = writer.Finish(); !status.ok()) return status;
-  std::lock_guard<std::mutex> lock(mu_);
-  bytes_written_ += writer.bytes_written();
-  return common::Status::Ok();
 }
 
 std::vector<std::string> RunSpiller::run_paths() const {

@@ -83,14 +83,14 @@ std::uint32_t Crc32Resume(std::uint32_t crc, const void* data,
 }
 
 common::Result<SpillFileWriter> SpillFileWriter::Create(
-    const std::string& path, std::uint32_t version) {
+    const std::string& path) {
   SpillFileWriter writer;
   writer.path_ = path;
   writer.out_.open(path, std::ios::binary | std::ios::trunc);
   if (!writer.out_) {
     return common::Status::NotFound("spill file: cannot create " + path);
   }
-  const std::uint32_t header[2] = {kSpillMagic, version};
+  const std::uint32_t header[2] = {kSpillMagic, kSpillFormatVersionBlocks};
   writer.out_.write(reinterpret_cast<const char*>(header), sizeof(header));
   writer.bytes_written_ = sizeof(header);
   if (!writer.out_) {
@@ -141,13 +141,11 @@ common::Result<SpillFileReader> SpillFileReader::Open(
     return common::Status::InvalidArgument("spill file: bad magic in " +
                                            path);
   }
-  if (header[1] != kSpillFormatVersion &&
-      header[1] != kSpillFormatVersionBlocks) {
+  if (header[1] != kSpillFormatVersionBlocks) {
     return common::Status::InvalidArgument(
         "spill file: unsupported version " + std::to_string(header[1]) +
         " in " + path);
   }
-  reader.version_ = header[1];
   return reader;
 }
 

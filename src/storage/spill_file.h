@@ -21,8 +21,10 @@ namespace mrcost::storage {
 ///   | payload ...       |
 ///   +-------------------+
 ///
-/// Payloads are opaque to this layer (the run writer packs length-prefixed
-/// records into them; records never straddle a block). Every block is
+/// Payloads are opaque to this layer: a shuffle run's payload is one
+/// encoded columnar block (src/storage/block.h — codec id, varint raw
+/// size, compressed body), and the multi-process runtime's chunk and
+/// result files frame their own serialized rows. Every block is
 /// CRC-checked on read, so a torn write, a truncated file, or bit rot
 /// surfaces as a Status instead of garbage groups.
 std::uint32_t Crc32(const void* data, std::size_t n);
@@ -35,12 +37,9 @@ std::uint32_t Crc32Resume(std::uint32_t crc, const void* data,
                           std::size_t n);
 
 inline constexpr std::uint32_t kSpillMagic = 0x5053524Du;  // "MRSP"
-inline constexpr std::uint32_t kSpillFormatVersion = 1;
 
-/// Version 2: each payload is one encoded columnar block
-/// (src/storage/block.h — codec id, varint raw size, compressed body)
-/// instead of a pack of fixed-header records. The frame layer is
-/// unchanged; readers accept both versions and expose which one they got.
+/// The one format version readers accept; any other version — the
+/// retired record format 1 included — fails Open with kInvalidArgument.
 inline constexpr std::uint32_t kSpillFormatVersionBlocks = 2;
 
 /// Blocks are flushed once their payload reaches this size (a single
@@ -56,9 +55,7 @@ inline constexpr std::uint32_t kMaxBlockBytes = 1u << 30;
 /// normally a RunSpiller).
 class SpillFileWriter {
  public:
-  static common::Result<SpillFileWriter> Create(
-      const std::string& path,
-      std::uint32_t version = kSpillFormatVersion);
+  static common::Result<SpillFileWriter> Create(const std::string& path);
 
   SpillFileWriter(SpillFileWriter&&) = default;
   SpillFileWriter& operator=(SpillFileWriter&&) = default;
@@ -94,16 +91,11 @@ class SpillFileReader {
 
   const std::string& path() const { return path_; }
 
-  /// Format version from the file header (1 = record payloads, 2 = block
-  /// payloads).
-  std::uint32_t version() const { return version_; }
-
  private:
   SpillFileReader() = default;
 
   std::ifstream in_;
   std::string path_;
-  std::uint32_t version_ = kSpillFormatVersion;
 };
 
 }  // namespace mrcost::storage

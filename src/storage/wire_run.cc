@@ -212,8 +212,7 @@ common::Status RunRegistry::Put(const std::string& run_id,
   if (overflow) {
     std::error_code ec;
     std::filesystem::create_directories(overflow_dir_, ec);
-    auto file = SpillFileWriter::Create(overflow_path,
-                                        kSpillFormatVersionBlocks);
+    auto file = SpillFileWriter::Create(overflow_path);
     if (!file.ok()) return file.status();
     SpillFileWriter writer = std::move(file.value());
     for (const std::string& frame : frames) {

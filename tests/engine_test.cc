@@ -1,7 +1,13 @@
+#include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,7 +21,7 @@
 #include "src/engine/hashing.h"
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/engine/simulator.h"
 #include "src/storage/block.h"
@@ -557,32 +563,6 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
   }
 }
 
-TEST(Shuffle, ShardedMatchesSerialDirectly) {
-  // Exercise ShardedShuffle/SerialShuffle below the job layer, with
-  // multi-chunk input and repeated keys straddling chunk boundaries.
-  auto make_chunks = [] {
-    std::vector<std::vector<std::pair<int, int>>> chunks(5);
-    int v = 0;
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      for (int i = 0; i < 200; ++i) {
-        chunks[c].emplace_back((v * 7) % 143, v);
-        ++v;
-      }
-    }
-    return chunks;
-  };
-  auto serial_chunks = make_chunks();
-  const auto serial = SerialShuffle(serial_chunks);
-  common::ThreadPool pool(4);
-  for (std::size_t shards : {2u, 3u, 8u, 64u}) {
-    auto chunks = make_chunks();
-    const auto sharded = ShardedShuffle(chunks, pool, shards);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EXPECT_EQ(sharded.keys, serial.keys);
-    EXPECT_EQ(sharded.groups, serial.groups);
-  }
-}
-
 TEST(Shuffle, ResolveShardCount) {
   EXPECT_EQ(ResolveShardCount(7, 4, 1 << 20), 7u);   // explicit wins
   EXPECT_EQ(ResolveShardCount(0, 1, 1 << 20), 1u);   // single thread
@@ -674,25 +654,158 @@ std::vector<std::vector<std::pair<std::uint64_t, int>>> RandomChunks(
   return chunks;
 }
 
-TEST(ShuffleProperty, SerialVsShardedEquivalence) {
-  // For every distribution, seed, and shard count 1..16: keys, group
-  // contents, and global first-seen order must match the serial reference
-  // exactly. Both shuffles consume their chunks, so each run rebuilds them
-  // (RandomChunks is a pure function of its arguments).
+constexpr KeyDist kAllDists[] = {KeyDist::kUniform, KeyDist::kZipf,
+                                 KeyDist::kAllSame, KeyDist::kAllDistinct};
+
+/// The same chunks with string keys and values of varying length, so the
+/// key-byte comparisons of the block index and the spill merge run on
+/// variable-width keys.
+std::vector<std::vector<std::pair<std::string, std::string>>> StringChunks(
+    KeyDist dist, std::uint64_t seed) {
+  std::vector<std::vector<std::pair<std::string, std::string>>> out;
+  for (const auto& chunk : RandomChunks(dist, seed)) {
+    auto& converted = out.emplace_back();
+    for (const auto& [key, value] : chunk) {
+      converted.emplace_back(
+          "key-" + std::string(key % 5, 'x') + std::to_string(key),
+          "value-" + std::to_string(value));
+    }
+  }
+  return out;
+}
+
+/// The shuffle property harness: runs the production round (RunMapReduce
+/// with an identity map over the chunks' pairs and a reduce that returns
+/// each group whole) and requires keys, group contents and global
+/// first-seen order to match SerialShuffle exactly. The round chunks its
+/// input its own way; first-seen order is a property of the global scan
+/// order, so the chunk boundaries do not matter. Returns the round's
+/// metrics through `metrics` for strategy-specific checks.
+template <typename Key, typename Value>
+void ExpectRoundMatchesSerial(
+    std::vector<std::vector<std::pair<Key, Value>>> chunks,
+    const JobOptions& options, JobMetrics* metrics = nullptr) {
+  using Pair = std::pair<Key, Value>;
+  using Group = std::pair<Key, std::vector<Value>>;
+  std::vector<Pair> inputs;
+  for (const auto& chunk : chunks) {
+    inputs.insert(inputs.end(), chunk.begin(), chunk.end());
+  }
+  const auto serial = SerialShuffle(chunks);
+  auto result = RunMapReduce<Pair, Key, Value, Group>(
+      inputs,
+      [](const Pair& kv, Emitter<Key, Value>& emitter) {
+        emitter.Emit(kv.first, kv.second);
+      },
+      [](const Key& key, const std::vector<Value>& values,
+         std::vector<Group>& out) { out.emplace_back(key, values); },
+      options);
+  ASSERT_EQ(result.outputs.size(), serial.keys.size());
+  std::uint64_t max_group = 0;
+  for (std::size_t i = 0; i < serial.keys.size(); ++i) {
+    ASSERT_EQ(result.outputs[i].first, serial.keys[i]) << "group " << i;
+    ASSERT_EQ(result.outputs[i].second, serial.groups[i]) << "group " << i;
+    max_group = std::max<std::uint64_t>(max_group, serial.groups[i].size());
+  }
+  EXPECT_EQ(result.metrics.pairs_shuffled, inputs.size());
+  EXPECT_EQ(result.metrics.num_reducers, serial.keys.size());
+  EXPECT_EQ(result.metrics.max_reducer_input, max_group);
+  if (metrics != nullptr) *metrics = result.metrics;
+}
+
+std::string CaseName(KeyDist dist, std::uint64_t seed) {
+  return std::string(Name(dist)) + " seed=" + std::to_string(seed);
+}
+
+TEST(ShuffleProperty, ShardedRoundMatchesSerial) {
+  // Every distribution, seed, and shard count 1..16.
   common::ThreadPool pool(4);
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
+  for (KeyDist dist : kAllDists) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      auto serial_chunks = RandomChunks(dist, seed);
-      const auto serial = SerialShuffle(serial_chunks);
       for (std::size_t shards = 1; shards <= 16; ++shards) {
-        auto chunks = RandomChunks(dist, seed);
-        const auto sharded = ShardedShuffle(chunks, pool, shards);
-        SCOPED_TRACE(std::string(Name(dist)) +
-                     " seed=" + std::to_string(seed) +
+        SCOPED_TRACE(CaseName(dist, seed) +
                      " shards=" + std::to_string(shards));
-        ASSERT_EQ(sharded.keys, serial.keys);
-        ASSERT_EQ(sharded.groups, serial.groups);
+        JobOptions options;
+        options.pool = &pool;
+        options.num_shards = shards;
+        options.shuffle.strategy = ShuffleStrategy::kSharded;
+        ExpectRoundMatchesSerial(RandomChunks(dist, seed), options);
+      }
+    }
+  }
+}
+
+TEST(ShuffleProperty, ExternalRoundMatchesSerialAtEveryBudget) {
+  // From spill-every-pair (budget 0) to spill-nothing (1 GiB).
+  common::ThreadPool pool(4);
+  for (KeyDist dist : kAllDists) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      for (std::uint64_t budget :
+           {std::uint64_t{0}, std::uint64_t{256}, std::uint64_t{4096},
+            std::uint64_t{1} << 30}) {
+        SCOPED_TRACE(CaseName(dist, seed) +
+                     " budget=" + std::to_string(budget));
+        JobOptions options;
+        options.pool = &pool;
+        options.shuffle.strategy = ShuffleStrategy::kExternal;
+        options.shuffle.memory_budget_bytes = budget;
+        JobMetrics m;
+        ExpectRoundMatchesSerial(RandomChunks(dist, seed), options, &m);
+        EXPECT_GE(m.merge_passes, 1u);
+        // A zero budget spills every pair as its own run; a budget above
+        // the data spills nothing.
+        if (budget == 0) {
+          EXPECT_EQ(m.spill_runs, m.pairs_shuffled);
+        }
+        if (budget == std::uint64_t{1} << 30) {
+          EXPECT_EQ(m.spill_runs, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ShuffleProperty, TinyFanInForcesMultiPassMerge) {
+  // Fan-in 2 (the smallest legal) over many small runs: the merge must
+  // rewrite intermediate runs in extra passes and still match.
+  common::ThreadPool pool(4);
+  for (KeyDist dist : kAllDists) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(CaseName(dist, seed));
+      JobOptions options;
+      options.pool = &pool;
+      options.shuffle.strategy = ShuffleStrategy::kExternal;
+      options.shuffle.memory_budget_bytes = 512;
+      options.shuffle.merge_fan_in = 2;
+      JobMetrics m;
+      ExpectRoundMatchesSerial(RandomChunks(dist, seed), options, &m);
+      EXPECT_GT(m.spill_runs, 2u);
+      EXPECT_GT(m.merge_passes, 1u);
+    }
+  }
+}
+
+TEST(ShuffleProperty, StringKeysAndValuesMatchSerial) {
+  common::ThreadPool pool(4);
+  for (KeyDist dist : kAllDists) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      for (std::size_t shards : {1u, 3u, 8u, 16u}) {
+        SCOPED_TRACE(CaseName(dist, seed) +
+                     " shards=" + std::to_string(shards));
+        JobOptions options;
+        options.pool = &pool;
+        options.num_shards = shards;
+        options.shuffle.strategy = ShuffleStrategy::kSharded;
+        ExpectRoundMatchesSerial(StringChunks(dist, seed), options);
+      }
+      for (std::uint64_t budget : {std::uint64_t{256}, std::uint64_t{4096}}) {
+        SCOPED_TRACE(CaseName(dist, seed) +
+                     " budget=" + std::to_string(budget));
+        JobOptions options;
+        options.pool = &pool;
+        options.shuffle.strategy = ShuffleStrategy::kExternal;
+        options.shuffle.memory_budget_bytes = budget;
+        ExpectRoundMatchesSerial(StringChunks(dist, seed), options);
       }
     }
   }
@@ -995,41 +1108,52 @@ TEST(Simulator, WorkerCountOnlySimulation) {
   EXPECT_GT(run.metrics.makespan, 0.0);
 }
 
-TEST(Simulator, PipelineWideSimulationAndCostReports) {
-  // A pipeline-level SimulationOptions must reach every round, surface in
-  // PipelineMetrics aggregates, and ride along in CompareToLowerBound's
-  // per-round reports.
-  PipelineOptions options;
-  options.simulation.num_workers = 4;
-  options.simulation.reducer_capacity_q = 5;
-  Pipeline pipeline(options);
-  std::vector<int> inputs(100);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 10, x);  // 10 keys x 10 values: violates q = 5
+/// Two rounds on one plan: round 1 sums `inputs` by residue mod
+/// `modulus`; round 2 regroups the sums by parity and sums again.
+/// `round1_options`, when set, are round 1's own JobOptions.
+Dataset<std::pair<int, std::int64_t>> SumThenRegroupByParity(
+    std::vector<int> inputs, int modulus,
+    std::optional<JobOptions> round1_options = std::nullopt) {
+  auto sum = [](const int& key, const auto& values,
+                std::vector<std::pair<int, std::int64_t>>& out) {
+    std::int64_t total = 0;
+    for (const auto v : values) total += v;
+    out.emplace_back(key, total);
   };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key, const std::vector<std::int64_t>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  pipeline.AddRound<std::pair<int, std::int64_t>, int, std::int64_t,
-                    std::pair<int, std::int64_t>>(sums, map2, reduce2);
+  Plan plan;
+  auto round1 = plan.Source(std::move(inputs))
+                    .Map<int, int>([modulus](const int& x,
+                                             Emitter<int, int>& emitter) {
+                      emitter.Emit(x % modulus, x);
+                    });
+  if (round1_options.has_value()) {
+    round1 = round1.WithOptions(*round1_options);
+  }
+  return round1.ReduceByKey<std::pair<int, std::int64_t>>(sum)
+      .Map<int, std::int64_t>([](const std::pair<int, std::int64_t>& p,
+                                 Emitter<int, std::int64_t>& emitter) {
+        emitter.Emit(p.first % 2, p.second);
+      })
+      .ReduceByKey<std::pair<int, std::int64_t>>(sum);
+}
 
-  const PipelineMetrics& m = pipeline.metrics();
+std::vector<int> Iota(std::size_t n) {
+  std::vector<int> inputs(n);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  return inputs;
+}
+
+TEST(Simulator, ExecutionWideSimulationAndCostReports) {
+  // An execution-wide SimulationOptions must reach every round, surface
+  // in PipelineMetrics aggregates, and ride along in CompareToLowerBound's
+  // per-round reports.
+  ExecutionOptions options;
+  options.pipeline.simulation.num_workers = 4;
+  options.pipeline.simulation.reducer_capacity_q = 5;
+  // 10 keys x 10 values in round 1 violate q = 5.
+  const auto run = SumThenRegroupByParity(Iota(100), 10).Execute(options);
+
+  const PipelineMetrics& m = run.metrics;
   ASSERT_EQ(m.rounds.size(), 2u);
   EXPECT_TRUE(m.rounds[0].simulated());
   EXPECT_TRUE(m.rounds[1].simulated());
@@ -1073,50 +1197,19 @@ TEST(Job, CallerOwnedPoolIsReused) {
   }
 }
 
-// ----------------------------------------------------------- pipeline
+// -------------------------------------------------- multi-round plans
 
-TEST(Pipeline, TwoRoundMetricsAccumulate) {
-  // Round 1: sum by residue mod 10; round 2: regroup the 10 sums by
-  // parity and sum again.
-  std::vector<int> inputs(100);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  Pipeline pipeline;
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 10, x);
-  };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  ASSERT_EQ(sums.size(), 10u);
-
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key,
-                    const std::vector<std::int64_t>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto totals = pipeline.AddRound<std::pair<int, std::int64_t>, int,
-                                  std::int64_t,
-                                  std::pair<int, std::int64_t>>(sums, map2,
-                                                                reduce2);
-  ASSERT_EQ(totals.size(), 2u);
+TEST(MultiRound, TwoRoundMetricsAccumulate) {
+  const auto run = SumThenRegroupByParity(Iota(100), 10).Execute();
+  ASSERT_EQ(run.outputs.size(), 2u);
   std::int64_t grand = 0;
-  for (const auto& [parity, sum] : totals) grand += sum;
+  for (const auto& [parity, sum] : run.outputs) grand += sum;
   EXPECT_EQ(grand, 99 * 100 / 2);
 
-  ASSERT_EQ(pipeline.num_rounds(), 2u);
-  const PipelineMetrics& m = pipeline.metrics();
+  const PipelineMetrics& m = run.metrics;
+  ASSERT_EQ(m.rounds.size(), 2u);
   EXPECT_EQ(m.rounds[0].num_inputs, 100u);
+  EXPECT_EQ(m.rounds[0].num_outputs, 10u);
   EXPECT_EQ(m.rounds[1].num_inputs, 10u);
   EXPECT_EQ(m.total_pairs(), 110u);
   EXPECT_DOUBLE_EQ(m.replication_rate(0), 1.0);
@@ -1125,64 +1218,79 @@ TEST(Pipeline, TwoRoundMetricsAccumulate) {
   EXPECT_DOUBLE_EQ(m.total_replication_rate(), 1.1);
 }
 
-TEST(Pipeline, SharedPoolAndPerRoundOptions) {
+TEST(MultiRound, CallerPoolAndPerRoundOptions) {
   common::ThreadPool pool(2);
-  PipelineOptions options;
-  options.pool = &pool;
-  Pipeline pipeline(options);
-  EXPECT_EQ(&pipeline.pool(), &pool);
-  std::vector<int> inputs(200);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 5, x);
-  };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
-                      std::vector<std::pair<int, std::size_t>>& out) {
-    out.emplace_back(key, values.size());
-  };
+  // The pool's worker ids: two tasks that each wait for the other occupy
+  // both workers at once.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> pool_ids;
+  for (int i = 0; i < 2; ++i) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      pool_ids.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait(lock, [&] { return pool_ids.size() == 2; });
+    });
+  }
+  pool.Wait();
+
+  ExecutionOptions options;
+  options.pipeline.pool = &pool;
   JobOptions round;
   round.simulation.num_workers = 3;
-  auto outputs = pipeline.AddRound<int, int, int,
-                                   std::pair<int, std::size_t>>(
-      inputs, map_fn, reduce_fn, round);
-  EXPECT_EQ(outputs.size(), 5u);
-  EXPECT_EQ(pipeline.metrics().rounds[0].worker_loads.count(), 3);
+  std::set<std::thread::id> reduce_ids;
+  Plan plan;
+  const auto run =
+      plan.Source(Iota(200))
+          .Map<int, int>([](const int& x, Emitter<int, int>& emitter) {
+            emitter.Emit(x % 5, x);
+          })
+          .WithOptions(round)
+          .ReduceByKey<std::pair<int, std::size_t>>(
+              [&](const int& key, const std::vector<int>& values,
+                  std::vector<std::pair<int, std::size_t>>& out) {
+                {
+                  std::lock_guard<std::mutex> lock(mu);
+                  reduce_ids.insert(std::this_thread::get_id());
+                }
+                out.emplace_back(key, values.size());
+              })
+          .Execute(options);
+  EXPECT_EQ(run.outputs.size(), 5u);
+  EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 3);
+  // Every reduce task ran on the caller's pool.
+  ASSERT_FALSE(reduce_ids.empty());
+  for (const std::thread::id& id : reduce_ids) {
+    EXPECT_EQ(pool_ids.count(id), 1u);
+  }
 }
 
-TEST(Pipeline, RoundDefaultsMergeFieldWise) {
+TEST(MultiRound, RoundDefaultsMergeFieldWise) {
   // The historical footgun: per-round options used to replace the
   // defaults wholesale, so a round overriding only num_shards silently
-  // dropped the pipeline's memory budget. MergedJobOptions inherits every
-  // unset field instead — the round below must still spill.
-  PipelineOptions options;
-  options.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
-  options.round_defaults.simulation.num_workers = 4;
-  Pipeline pipeline(options);
-  std::vector<int> inputs(4000);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 512, x);
-  };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
-                      std::vector<std::pair<int, std::size_t>>& out) {
-    out.emplace_back(key, values.size());
-  };
+  // dropped the execution's memory budget. MergedJobOptions inherits
+  // every unset field instead — the round below must still spill.
+  ExecutionOptions options;
+  options.pipeline.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
+  options.pipeline.round_defaults.simulation.num_workers = 4;
+  options.choose_strategy_per_round = false;  // budget => external
   JobOptions round;
   round.num_shards = 2;  // the only field the round overrides
-  auto outputs =
-      pipeline.AddRound<int, int, int, std::pair<int, std::size_t>>(
-          inputs, map_fn, reduce_fn, round);
-  EXPECT_EQ(outputs.size(), 512u);
-  const JobMetrics& m = pipeline.metrics().rounds[0];
+  const auto run =
+      SumThenRegroupByParity(Iota(4000), 512, round).Execute(options);
+  const JobMetrics& m = run.metrics.rounds[0];
+  EXPECT_EQ(m.num_outputs, 512u);
   // Budget inherited from the defaults: the round ran externally...
   EXPECT_TRUE(m.external_shuffle());
   EXPECT_GT(m.spill_runs, 0u);
   // ...and the defaults' simulation reached it too.
   EXPECT_EQ(m.worker_loads.count(), 4);
 
-  // The pipeline-wide shuffle backstop composes field-wise as well: a
+  // The execution-wide shuffle backstop composes field-wise as well: a
   // round forcing only the strategy still inherits the backstop budget.
-  JobOptions merged = MergedJobOptions(round, options.round_defaults);
+  JobOptions merged =
+      MergedJobOptions(round, options.pipeline.round_defaults);
   EXPECT_EQ(merged.num_shards, 2u);
   EXPECT_EQ(merged.shuffle.memory_budget_bytes, std::uint64_t{1} << 10);
   EXPECT_EQ(merged.simulation.num_workers, 4u);
@@ -1262,9 +1370,9 @@ TEST(ShuffleConfigResolution, UnsetInheritsEverythingAndZeroStaysZero) {
 }
 
 TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
-  // The full chain Pipeline::Resolve / the plan executor apply: per-round
-  // fields win, then the round defaults, then the pipeline-wide backstop
-  // — field by field, not wholesale.
+  // The full chain the plan executor (ResolveRoundOptions) applies:
+  // per-round fields win, then the round defaults, then the
+  // execution-wide backstop — field by field, not wholesale.
   ShuffleConfig backstop;
   backstop.strategy = ShuffleStrategy::kSerial;
   backstop.memory_budget_bytes = 1 << 22;
@@ -1297,33 +1405,34 @@ TEST(ShuffleConfigResolution, ResolvedStrategyFollowsBudget) {
   EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSerial);
 }
 
-TEST(Pipeline, CombinedRound) {
+TEST(MultiRound, CombinedRound) {
   std::vector<int> inputs(1000);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 4);
   }
-  Pipeline pipeline;
-  auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(x, 1);
-  };
-  auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
-  auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
-                      std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t total = 0;
-    for (std::int64_t v : values) total += v;
-    out.emplace_back(key, total);
-  };
-  auto counts = pipeline.AddCombinedRound<int, int, std::int64_t,
-                                          std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn);
-  ASSERT_EQ(counts.size(), 4u);
-  const JobMetrics& m = pipeline.metrics().rounds[0];
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, std::int64_t>(
+              [](const int& x, Emitter<int, std::int64_t>& emitter) {
+                emitter.Emit(x, 1);
+              })
+          .CombineByKey([](std::int64_t a, std::int64_t b) { return a + b; })
+          .ReduceByKey<std::pair<int, std::int64_t>>(
+              [](const int& key, const std::vector<std::int64_t>& values,
+                 std::vector<std::pair<int, std::int64_t>>& out) {
+                std::int64_t total = 0;
+                for (std::int64_t v : values) total += v;
+                out.emplace_back(key, total);
+              })
+          .Execute();
+  ASSERT_EQ(run.outputs.size(), 4u);
+  const JobMetrics& m = run.metrics.rounds[0];
   EXPECT_EQ(m.pairs_before_combine, 1000u);
   EXPECT_LT(m.pairs_shuffled, m.pairs_before_combine);
 }
 
-TEST(Pipeline, CompareToLowerBound) {
+TEST(Metrics, CompareToLowerBound) {
   // A synthetic recipe with g(q) = q and |O| = 2|I|: Equation 4 gives
   // r >= q*|O| / (g(q)*|I|) = 2 at every q.
   core::Recipe recipe;

@@ -17,7 +17,7 @@
 #include "src/common/random.h"
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -188,39 +188,42 @@ TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
   EXPECT_GT(run.metrics.spill_runs, 0u);
 }
 
-TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
-  PipelineOptions options;
-  options.shuffle.memory_budget_bytes = 1 << 10;
-  Pipeline pipeline(options);
+TEST(ExternalShufflePlan, BackstopReachesEveryRoundAndReports) {
+  // ExecutionOptions::pipeline.shuffle is the execution-wide backstop:
+  // with the per-round chooser off, its budget alone must send every
+  // round of the plan through the external shuffle.
+  ExecutionOptions options;
+  options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
+  options.choose_strategy_per_round = false;
   std::vector<int> inputs(4000);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 100, x);
+  auto sum = [](const int& key, const auto& values,
+                std::vector<std::pair<int, std::int64_t>>& out) {
+    std::int64_t total = 0;
+    for (const auto v : values) total += v;
+    out.emplace_back(key, total);
   };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  ASSERT_EQ(sums.size(), 100u);
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key, const std::vector<std::int64_t>& values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  pipeline.AddRound<std::pair<int, std::int64_t>, int, std::int64_t,
-                    std::pair<int, std::int64_t>>(sums, map2, reduce2);
+  Plan plan;
+  auto sums =
+      plan.Source(std::move(inputs))
+          .Map<int, int>([](const int& x, Emitter<int, int>& emitter) {
+            emitter.Emit(x % 100, x);
+          })
+          .ReduceByKey<std::pair<int, std::int64_t>>(sum);
+  const auto run =
+      sums.Map<int, std::int64_t>([](const std::pair<int, std::int64_t>& p,
+                                     Emitter<int, std::int64_t>& emitter) {
+            emitter.Emit(p.first % 2, p.second);
+          })
+          .ReduceByKey<std::pair<int, std::int64_t>>(sum)
+          .Execute(options);
+  ASSERT_EQ(run.round_strategies.size(), 2u);
+  EXPECT_EQ(run.round_strategies[0], ShuffleStrategy::kExternal);
+  EXPECT_EQ(run.round_strategies[1], ShuffleStrategy::kExternal);
 
-  const PipelineMetrics& m = pipeline.metrics();
+  const PipelineMetrics& m = run.metrics;
   ASSERT_EQ(m.rounds.size(), 2u);
+  EXPECT_EQ(m.rounds[0].num_outputs, 100u);
   EXPECT_TRUE(m.rounds[0].external_shuffle());
   EXPECT_TRUE(m.rounds[1].external_shuffle());
   EXPECT_GT(m.rounds[0].spill_runs, 0u);

@@ -1,7 +1,7 @@
 // The lazy typed dataflow Plan API (src/engine/plan.h): building is free
 // of execution, Estimate prices rounds against the Section 2.4 recipe
 // before any data moves, Explain narrates the physical plan, and Execute
-// lowers onto the eager Pipeline machinery byte-identically for every
+// runs byte-identically to the eager RunMapReduce entry points for every
 // shuffle strategy — verified here on a synthetic round (plan vs eager,
 // metrics compared field by field) and on all four problem-family drivers
 // across {serial, sharded, external} x seeds.
@@ -140,7 +140,7 @@ struct SyntheticJob {
   }
 };
 
-TEST(Plan, ExecuteMatchesEagerPipelineForEveryStrategy) {
+TEST(Plan, ExecuteMatchesEagerRoundForEveryStrategy) {
   SyntheticJob job;
   for (ShuffleStrategy strategy :
        {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
@@ -153,13 +153,10 @@ TEST(Plan, ExecuteMatchesEagerPipelineForEveryStrategy) {
       options.shuffle.memory_budget_bytes = 1 << 12;
     }
 
-    // Eager path: the Pipeline the plan lowers onto.
-    Pipeline pipeline(options);
-    auto eager =
-        pipeline.AddRound<int, int, std::uint64_t,
-                          std::pair<int, std::uint64_t>>(
-            job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn);
-    const PipelineMetrics eager_metrics = pipeline.TakeMetrics();
+    // Eager path: one RunMapReduce round under the same options.
+    auto eager = RunMapReduce<int, int, std::uint64_t,
+                              std::pair<int, std::uint64_t>>(
+        job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, options);
 
     // Lazy path, same options.
     Plan plan;
@@ -169,9 +166,9 @@ TEST(Plan, ExecuteMatchesEagerPipelineForEveryStrategy) {
                       SyntheticJob::ReduceFn);
     auto run = ds.Execute(ExecutionOptions(options));
 
-    EXPECT_EQ(run.outputs, eager);  // byte-identical
+    EXPECT_EQ(run.outputs, eager.outputs);  // byte-identical
     ASSERT_EQ(run.metrics.rounds.size(), 1u);
-    ExpectSameMetrics(run.metrics.rounds[0], eager_metrics.rounds[0]);
+    ExpectSameMetrics(run.metrics.rounds[0], eager.metrics);
     ASSERT_EQ(run.round_strategies.size(), 1u);
     EXPECT_EQ(run.round_strategies[0], strategy);
   }
@@ -196,11 +193,9 @@ TEST(Plan, CombinedRoundMatchesEager) {
   JobOptions options;
   options.num_threads = 2;
 
-  Pipeline pipeline(options);
-  auto eager = pipeline.AddCombinedRound<int, int, std::int64_t,
-                                         std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn);
-  const PipelineMetrics eager_metrics = pipeline.TakeMetrics();
+  auto eager = RunMapReduceCombined<int, int, std::int64_t,
+                                    std::pair<int, std::int64_t>>(
+      inputs, map_fn, combine_fn, reduce_fn, options);
 
   Plan plan;
   auto run = plan.Source(inputs)
@@ -208,9 +203,9 @@ TEST(Plan, CombinedRoundMatchesEager) {
                  .CombineByKey(combine_fn)
                  .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
                  .Execute(ExecutionOptions(options));
-  EXPECT_EQ(run.outputs, eager);
+  EXPECT_EQ(run.outputs, eager.outputs);
   ASSERT_EQ(run.metrics.rounds.size(), 1u);
-  ExpectSameMetrics(run.metrics.rounds[0], eager_metrics.rounds[0]);
+  ExpectSameMetrics(run.metrics.rounds[0], eager.metrics);
   EXPECT_LT(run.metrics.rounds[0].pairs_shuffled,
             run.metrics.rounds[0].pairs_before_combine);
 }
@@ -298,8 +293,8 @@ TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
 
 TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   // A two-round plan whose round 1 is far over budget and whose round 2 is
-  // far under it: only round 1 pays the spill path. (The eager pipeline
-  // backstop would run both rounds externally.)
+  // far under it: only round 1 pays the spill path. (The eager budget =>
+  // external rule would run both rounds externally.)
   std::vector<int> inputs(20000);
   std::iota(inputs.begin(), inputs.end(), 0);
   PipelineOptions pipeline_options;
@@ -601,7 +596,7 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
 
 TEST(Plan, PipelineWideSimulationReachesEveryRound) {
   // ExecutionOptions::pipeline.simulation must simulate every round the
-  // plan executes (the backstop Pipeline::Resolve applies), not just be
+  // plan executes (the backstop ResolveRoundOptions applies), not just be
   // narrated by Explain — executed and explained plans have to agree.
   SyntheticJob job;
   Plan plan;

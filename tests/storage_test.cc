@@ -1,8 +1,10 @@
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -12,7 +14,6 @@
 
 #include "src/common/random.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/engine/shuffle.h"
 #include "src/storage/block.h"
 #include "src/storage/external_merge.h"
@@ -43,7 +44,7 @@ T RoundTrip(const T& value) {
   SerializeValue(value, bytes);
   const char* p = bytes.data();
   const char* end = p + bytes.size();
-  T out;
+  T out{};
   EXPECT_TRUE(DeserializeValue(p, end, out));
   EXPECT_EQ(p, end) << "deserialize must consume every byte";
   return out;
@@ -129,6 +130,18 @@ TEST(SpillFile, MissingFileIsNotFound) {
   EXPECT_EQ(reader.status().code(), common::StatusCode::kNotFound);
 }
 
+/// Writes a spill-file header with the given version followed by one
+/// framed block, as a writer of that version would have.
+void WriteVersionedFile(const std::string& path, std::uint32_t version) {
+  const std::string payload = "payload";
+  const std::uint32_t words[4] = {
+      kSpillMagic, version, static_cast<std::uint32_t>(payload.size()),
+      Crc32(payload.data(), payload.size())};
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(words), sizeof(words));
+  out << payload;
+}
+
 TEST(SpillFile, BadMagicRejected) {
   const std::string path = TestPath("badmagic.spill");
   std::ofstream(path, std::ios::binary) << "XXXXYYYYsome bytes";
@@ -182,155 +195,6 @@ TEST(SpillFile, FlippedByteFailsCrc) {
   const auto status = reader->Next(payload, done);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), common::StatusCode::kInternal);
-}
-
-// ------------------------------------------------- runs and the merge
-
-SpillRecord MakeRecord(std::uint64_t hash, std::uint64_t pos,
-                       std::uint64_t key, int value) {
-  SpillRecord rec;
-  rec.hash = hash;
-  rec.pos = pos;
-  SerializeValue(key, rec.bytes);
-  rec.key_size = static_cast<std::uint32_t>(rec.bytes.size());
-  SerializeValue(value, rec.bytes);
-  return rec;
-}
-
-TEST(RunWriter, EncodeDecodeRecord) {
-  const SpillRecord rec = MakeRecord(7, 9, 1234, -5);
-  std::string block;
-  EncodeRecord(rec, block);
-  const char* p = block.data();
-  SpillRecord out;
-  ASSERT_TRUE(DecodeRecord(p, block.data() + block.size(), out));
-  EXPECT_EQ(p, block.data() + block.size());
-  EXPECT_EQ(out.hash, rec.hash);
-  EXPECT_EQ(out.pos, rec.pos);
-  EXPECT_EQ(out.key_size, rec.key_size);
-  EXPECT_EQ(out.bytes, rec.bytes);
-}
-
-TEST(RunWriter, BudgetTriggersSpills) {
-  RunSpiller spiller(TestDir());
-  RunWriter<std::uint64_t, int> writer(&spiller, 200, /*chunk_id=*/0);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(writer.Add(/*hash=*/static_cast<std::uint64_t>(i),
-                           static_cast<std::uint64_t>(i), i)
-                    .ok());
-  }
-  const auto tail = writer.TakeTail();
-  EXPECT_GT(spiller.spill_runs(), 0u);
-  EXPECT_GT(spiller.bytes_written(), 0u);
-  // Every record is either in a run or in the tail.
-  std::uint64_t on_disk = 0;
-  for (const std::string& path : spiller.spill_run_paths()) {
-    DiskRunSource source(path);
-    SpillRecord rec;
-    while (source.Next(rec)) ++on_disk;
-    ASSERT_TRUE(source.status().ok()) << source.status();
-  }
-  EXPECT_EQ(on_disk + tail.size(), 100u);
-}
-
-TEST(RunWriter, ZeroBudgetSpillsEveryRecord) {
-  RunSpiller spiller(TestDir());
-  RunWriter<std::uint64_t, int> writer(&spiller, 0, /*chunk_id=*/0);
-  for (int i = 0; i < 17; ++i) {
-    ASSERT_TRUE(writer.Add(static_cast<std::uint64_t>(i),
-                           static_cast<std::uint64_t>(i), i)
-                    .ok());
-  }
-  EXPECT_TRUE(writer.TakeTail().empty());
-  EXPECT_EQ(spiller.spill_runs(), 17u);
-}
-
-TEST(RunSpiller, RemovesItsFilesOnDestruction) {
-  std::vector<std::string> paths;
-  {
-    RunSpiller spiller(TestDir());
-    std::vector<SpillRecord> records{MakeRecord(1, 1, 1, 1)};
-    ASSERT_TRUE(spiller.SpillRun(records).ok());
-    paths = spiller.run_paths();
-    ASSERT_EQ(paths.size(), 1u);
-    EXPECT_TRUE(std::filesystem::exists(paths[0]));
-  }
-  EXPECT_FALSE(std::filesystem::exists(paths[0]));
-}
-
-TEST(LoserTree, EmptyAndSingleSource) {
-  LoserTree empty({});
-  SpillRecord rec;
-  EXPECT_FALSE(empty.Next(rec));
-
-  std::vector<SpillRecord> records;
-  records.push_back(MakeRecord(2, 0, 2, 20));
-  records.push_back(MakeRecord(5, 1, 5, 50));
-  MemoryRunSource source(std::move(records));
-  std::vector<RunSource*> sources{&source};
-  LoserTree tree(sources);
-  ASSERT_TRUE(tree.Next(rec));
-  EXPECT_EQ(rec.hash, 2u);
-  ASSERT_TRUE(tree.Next(rec));
-  EXPECT_EQ(rec.hash, 5u);
-  EXPECT_FALSE(tree.Next(rec));
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(LoserTree, MergesManySourcesInOrder) {
-  // 7 sources with interleaved hashes; positions globally unique.
-  common::SplitMix64 rng(13);
-  std::vector<MemoryRunSource> owned;
-  std::vector<std::vector<SpillRecord>> runs(7);
-  std::uint64_t pos = 0;
-  for (int i = 0; i < 500; ++i) {
-    runs[rng.UniformBelow(7)].push_back(
-        MakeRecord(rng.UniformBelow(40), pos, rng.UniformBelow(40),
-                   static_cast<int>(pos)));
-    ++pos;
-  }
-  std::vector<RunSource*> sources;
-  for (auto& run : runs) {
-    std::sort(run.begin(), run.end(),
-              [](const SpillRecord& a, const SpillRecord& b) {
-                return SpillRecordLess(a, b);
-              });
-    owned.emplace_back(std::move(run));
-  }
-  for (auto& source : owned) sources.push_back(&source);
-  LoserTree tree(sources);
-  SpillRecord prev;
-  SpillRecord rec;
-  std::size_t count = 0;
-  while (tree.Next(rec)) {
-    if (count > 0) {
-      EXPECT_TRUE(SpillRecordLess(prev, rec));
-    }
-    prev = rec;
-    ++count;
-  }
-  EXPECT_EQ(count, 500u);
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(ExternalMerge, CorruptRunSurfacesStatusNotCrash) {
-  RunSpiller spiller(TestDir());
-  std::vector<SpillRecord> records;
-  for (int i = 0; i < 50; ++i) {
-    records.push_back(MakeRecord(static_cast<std::uint64_t>(i), i,
-                                 static_cast<std::uint64_t>(i), i));
-  }
-  ASSERT_TRUE(spiller.SpillRun(records).ok());
-  const std::string path = spiller.spill_run_paths()[0];
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
-
-  std::vector<std::unique_ptr<RunSource>> sources;
-  sources.push_back(std::make_unique<DiskRunSource>(path));
-  SpillStats stats;
-  auto merged = MergeRunsToGroups<std::uint64_t, int>(
-      std::move(sources), spiller, kDefaultMergeFanIn, stats);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
 }
 
 // ----------------------------------------------------- columnar blocks
@@ -432,40 +296,45 @@ TEST(Codec, Lz77RoundTripsAssortedPayloads) {
   }
 }
 
-/// A spill record whose hash follows the block convention (HashBytes over
-/// the serialized key), so decoded blocks reproduce it.
-SpillRecord MakeBlockRecord(std::uint64_t key, int value,
-                            std::uint64_t pos) {
-  SpillRecord rec;
+/// An owning record for building test runs: the block convention's hash
+/// (HashBytes over the serialized key, which decoded blocks reproduce),
+/// the global emission position, and the serialized key and value bytes.
+struct TestRecord {
+  std::uint64_t hash = 0;
+  std::uint64_t pos = 0;
+  std::string key;
+  std::string value;
+
+  RecordView view() const { return RecordView{hash, pos, key, value}; }
+};
+
+TestRecord MakeRecord(std::uint64_t key, int value, std::uint64_t pos) {
+  TestRecord rec;
   rec.pos = pos;
-  SerializeValue(key, rec.bytes);
-  rec.key_size = static_cast<std::uint32_t>(rec.bytes.size());
-  rec.hash = HashBytes(rec.key_bytes());
-  SerializeValue(value, rec.bytes);
+  SerializeValue(key, rec.key);
+  rec.hash = HashBytes(rec.key);
+  SerializeValue(value, rec.value);
   return rec;
 }
 
-ColumnarRun RunFromRecords(std::vector<SpillRecord> records) {
+ColumnarRun RunFromRecords(std::vector<TestRecord> records) {
   std::sort(records.begin(), records.end(),
-            [](const SpillRecord& a, const SpillRecord& b) {
-              return SpillRecordLess(a, b);
+            [](const TestRecord& a, const TestRecord& b) {
+              return RecordViewLess(a.view(), b.view());
             });
   ColumnarRun run;
-  for (const SpillRecord& rec : records) {
-    run.Append(RecordView{rec.hash, rec.pos, rec.key_bytes(),
-                          rec.value_bytes()});
-  }
+  for (const TestRecord& rec : records) run.Append(rec.view());
   return run;
 }
 
-std::vector<SpillRecord> BlockRecordsFor(KeyDist dist, std::uint64_t seed) {
-  std::vector<SpillRecord> records;
+std::vector<TestRecord> BlockRecordsFor(KeyDist dist, std::uint64_t seed) {
+  std::vector<TestRecord> records;
   std::uint32_t chunk_id = 0;
   for (const auto& chunk : RandomChunks(dist, seed)) {
     std::uint64_t local = 0;
     for (const auto& [key, value] : chunk) {
       records.push_back(
-          MakeBlockRecord(key, value, MakeSpillPos(chunk_id, local++)));
+          MakeRecord(key, value, MakeSpillPos(chunk_id, local++)));
     }
     ++chunk_id;
   }
@@ -575,6 +444,82 @@ TEST(BlockSpill, WriterRoundTripsThroughDiskSource) {
   EXPECT_EQ(i, expect.rows());
 }
 
+TEST(RunSpiller, RemovesItsFilesOnDestruction) {
+  // Spilled runs and merge rewrites alike are owned by the spiller.
+  std::vector<std::string> paths;
+  {
+    RunSpiller spiller(TestDir());
+    ColumnarRun run = RunFromRecords({MakeRecord(1, 1, 1)});
+    ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+    auto rewrite = spiller.NewBlockRun();
+    ASSERT_TRUE(rewrite.ok()) << rewrite.status();
+    ASSERT_TRUE(rewrite->Append(MakeRecord(2, 2, 2).view()).ok());
+    ASSERT_TRUE(spiller.CloseBlockRun(*rewrite).ok());
+    EXPECT_EQ(spiller.spill_runs(), 1u);  // rewrites are not spills
+    paths = spiller.run_paths();
+    ASSERT_EQ(paths.size(), 2u);
+    for (const std::string& path : paths) {
+      EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    }
+  }
+  for (const std::string& path : paths) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  }
+}
+
+TEST(BlockLoserTree, EmptyAndSingleSource) {
+  BlockLoserTree empty({});
+  EXPECT_EQ(empty.Peek(), nullptr);
+  EXPECT_TRUE(empty.status().ok());
+
+  // One source pops exactly its own (sorted) row order.
+  const std::vector<TestRecord> records = {MakeRecord(5, 50, 1),
+                                           MakeRecord(2, 20, 0)};
+  const ColumnarRun expect = RunFromRecords(records);
+  MemoryBlockRunSource source(RunFromRecords(records));
+  BlockLoserTree tree({&source});
+  for (std::size_t i = 0; i < expect.rows(); ++i) {
+    const RecordView* rec = tree.Peek();
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->pos, expect.positions[i]);
+    EXPECT_EQ(rec->key, expect.keys.At(i));
+    EXPECT_EQ(rec->value, expect.values.At(i));
+    tree.Pop();
+  }
+  EXPECT_EQ(tree.Peek(), nullptr);
+  EXPECT_TRUE(tree.status().ok());
+}
+
+TEST(BlockLoserTree, MergesManySourcesInOrder) {
+  // 7 sources with interleaved keys; positions globally unique.
+  common::SplitMix64 rng(13);
+  std::vector<std::vector<TestRecord>> runs(7);
+  for (std::uint64_t pos = 0; pos < 500; ++pos) {
+    runs[rng.UniformBelow(7)].push_back(
+        MakeRecord(rng.UniformBelow(40), static_cast<int>(pos), pos));
+  }
+  std::vector<MemoryBlockRunSource> owned;
+  owned.reserve(runs.size());
+  for (auto& run : runs) owned.emplace_back(RunFromRecords(std::move(run)));
+  std::vector<BlockRunSource*> sources;
+  for (auto& source : owned) sources.push_back(&source);
+  BlockLoserTree tree(sources);
+  TestRecord prev;
+  std::size_t count = 0;
+  while (const RecordView* rec = tree.Peek()) {
+    TestRecord cur{rec->hash, rec->pos, std::string(rec->key),
+                   std::string(rec->value)};
+    if (count > 0) {
+      EXPECT_TRUE(RecordViewLess(prev.view(), cur.view()));
+    }
+    prev = std::move(cur);
+    ++count;
+    tree.Pop();
+  }
+  EXPECT_EQ(count, 500u);
+  EXPECT_TRUE(tree.status().ok());
+}
+
 TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   // Truncation mid-frame: kOutOfRange from the frame layer.
   RunSpiller spiller(TestDir());
@@ -605,22 +550,47 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
     ASSERT_FALSE(source.status().ok());
     EXPECT_EQ(source.status().code(), common::StatusCode::kInternal);
   }
-  // A record-format (v1) run fed to the block reader: version mismatch.
-  std::vector<SpillRecord> v1;
-  v1.push_back(MakeBlockRecord(1, 1, 1));
-  ASSERT_TRUE(spiller.SpillRun(v1).ok());
+  // A run file with the retired version-1 (record-format) header: the
+  // reader refuses it before the block decoder sees a byte.
+  const std::string v1_path = TestPath("v1.run");
+  WriteVersionedFile(v1_path, 1);
   {
-    DiskBlockRunSource source(spiller.spill_run_paths()[2]);
+    DiskBlockRunSource source(v1_path);
     EXPECT_EQ(source.Peek(), nullptr);
     EXPECT_EQ(source.status().code(),
               common::StatusCode::kInvalidArgument);
   }
 }
 
-TEST(BlockMerge, MatchesRecordMergeAcrossDistributions) {
-  // The block merge must produce byte-for-byte the groups the record
-  // merge produces: same keys, same group contents, same first_pos — for
-  // every distribution, spilled and in-memory runs mixed.
+TEST(BlockMerge, CorruptRunSurfacesStatusNotCrash) {
+  // A run truncated mid-frame fails the whole merge with kOutOfRange
+  // instead of yielding partial groups or crashing.
+  RunSpiller spiller(TestDir());
+  std::vector<TestRecord> records;
+  for (int i = 0; i < 50; ++i) {
+    records.push_back(MakeRecord(static_cast<std::uint64_t>(i), i,
+                                 static_cast<std::uint64_t>(i)));
+  }
+  ColumnarRun run = RunFromRecords(std::move(records));
+  ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+  const std::string path = spiller.spill_run_paths()[0];
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
+
+  std::vector<std::unique_ptr<BlockRunSource>> sources;
+  sources.push_back(std::make_unique<DiskBlockRunSource>(path));
+  SpillStats stats;
+  auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
+      std::move(sources), spiller, kDefaultMergeFanIn, stats);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
+}
+
+TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
+  // The block merge, reordered by first-seen position, must reproduce the
+  // serial reference shuffle exactly: same keys, same group contents, same
+  // global first-seen order — for every distribution, spilled and
+  // in-memory runs mixed, with a fan-in small enough to force multi-pass
+  // rewrites.
   for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
                        KeyDist::kAllDistinct}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -629,151 +599,62 @@ TEST(BlockMerge, MatchesRecordMergeAcrossDistributions) {
       const auto records = BlockRecordsFor(dist, seed);
       // Deal records round-robin into 5 runs; spill runs 0-2, keep 3-4 in
       // memory.
-      std::vector<std::vector<SpillRecord>> runs(5);
+      std::vector<std::vector<TestRecord>> runs(5);
       for (std::size_t i = 0; i < records.size(); ++i) {
         runs[i % runs.size()].push_back(records[i]);
       }
-
-      RunSpiller rec_spiller(TestDir());
-      std::vector<std::unique_ptr<RunSource>> rec_sources;
-      RunSpiller blk_spiller(TestDir());
-      std::vector<std::unique_ptr<BlockRunSource>> blk_sources;
+      RunSpiller spiller(TestDir());
+      std::vector<std::unique_ptr<BlockRunSource>> sources;
       for (std::size_t r = 0; r < runs.size(); ++r) {
-        ColumnarRun run = RunFromRecords(runs[r]);
-        auto sorted = runs[r];
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const SpillRecord& a, const SpillRecord& b) {
-                    return SpillRecordLess(a, b);
-                  });
+        ColumnarRun run = RunFromRecords(std::move(runs[r]));
         if (r < 3) {
-          auto to_spill = sorted;
-          ASSERT_TRUE(rec_spiller.SpillRun(to_spill).ok());
-          rec_sources.push_back(std::make_unique<DiskRunSource>(
-              rec_spiller.spill_run_paths().back()));
-          ASSERT_TRUE(blk_spiller.SpillBlockRun(run).ok());
-          blk_sources.push_back(std::make_unique<DiskBlockRunSource>(
-              blk_spiller.spill_run_paths().back()));
+          ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+          sources.push_back(std::make_unique<DiskBlockRunSource>(
+              spiller.spill_run_paths().back()));
         } else {
-          rec_sources.push_back(
-              std::make_unique<MemoryRunSource>(std::move(sorted)));
-          blk_sources.push_back(
+          sources.push_back(
               std::make_unique<MemoryBlockRunSource>(std::move(run)));
         }
       }
+      SpillStats stats;
+      auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
+          std::move(sources), spiller, /*max_fan_in=*/2, stats);
+      ASSERT_TRUE(merged.ok()) << merged.status();
+      EXPECT_GT(stats.merge_passes, 1u);
+      const auto grouped = engine::internal::ReorderByFirstSeen(*merged);
 
-      SpillStats rec_stats;
-      auto rec_merged = MergeRunsToGroups<std::uint64_t, int>(
-          std::move(rec_sources), rec_spiller, /*max_fan_in=*/2, rec_stats);
-      ASSERT_TRUE(rec_merged.ok()) << rec_merged.status();
-      SpillStats blk_stats;
-      auto blk_merged = MergeBlockRunsToGroups<std::uint64_t, int>(
-          std::move(blk_sources), blk_spiller, /*max_fan_in=*/2, blk_stats);
-      ASSERT_TRUE(blk_merged.ok()) << blk_merged.status();
-
-      EXPECT_EQ(blk_merged->keys, rec_merged->keys);
-      EXPECT_EQ(blk_merged->groups, rec_merged->groups);
-      EXPECT_EQ(blk_merged->first_pos, rec_merged->first_pos);
-      EXPECT_EQ(blk_stats.merge_passes, rec_stats.merge_passes);
+      auto chunks = RandomChunks(dist, seed);
+      const auto serial = engine::SerialShuffle(chunks);
+      EXPECT_EQ(grouped.keys, serial.keys);
+      EXPECT_EQ(grouped.groups, serial.groups);
     }
   }
 }
 
 TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
+  // Writers write version 2, the only version readers accept: the
+  // retired version 1 (record payloads) and unknown versions alike fail
+  // Open with kInvalidArgument.
   const std::string path = TestPath("v2.spill");
-  auto writer = SpillFileWriter::Create(path, kSpillFormatVersionBlocks);
+  auto writer = SpillFileWriter::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->AppendBlock("payload").ok());
   ASSERT_TRUE(writer->Close().ok());
   auto reader = SpillFileReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->version(), kSpillFormatVersionBlocks);
+  std::string payload;
+  bool done = false;
+  ASSERT_TRUE(reader->Next(payload, done).ok());
+  EXPECT_EQ(payload, "payload");
 
-  auto bad = SpillFileWriter::Create(path, 99);
-  ASSERT_TRUE(bad.ok());
-  ASSERT_TRUE(bad->Close().ok());
-  auto rejected = SpillFileReader::Open(path);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(),
-            common::StatusCode::kInvalidArgument);
-}
-
-// ----------------------------------- round-trip property vs the engine
-
-TEST(ExternalShuffleProperty, MatchesSerialShuffleAcrossDistributions) {
-  // For every distribution, seed, and budget (from spill-everything to
-  // spill-nothing): keys, group contents, and global first-seen order must
-  // match the serial in-memory reference exactly.
-  common::ThreadPool pool(4);
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      auto serial_chunks = RandomChunks(dist, seed);
-      const auto serial = engine::SerialShuffle(serial_chunks);
-      for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{256},
-                                   std::uint64_t{4096},
-                                   std::uint64_t{1} << 30}) {
-        auto chunks = RandomChunks(dist, seed);
-        engine::ShuffleConfig options;
-        options.memory_budget_bytes = budget;
-        options.spill_dir = TestDir();
-        SpillStats stats;
-        auto external =
-            engine::ExternalShuffle(chunks, pool, options, &stats);
-        SCOPED_TRACE(std::string(Name(dist)) +
-                     " seed=" + std::to_string(seed) +
-                     " budget=" + std::to_string(budget));
-        ASSERT_TRUE(external.ok()) << external.status();
-        ASSERT_EQ(external->keys, serial.keys);
-        ASSERT_EQ(external->groups, serial.groups);
-        EXPECT_GE(stats.merge_passes, 1u);
-        if (budget == 0) {
-          EXPECT_GT(stats.spill_runs, 0u);
-        }
-      }
-    }
+  for (const std::uint32_t version : {1u, 99u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    WriteVersionedFile(path, version);
+    auto rejected = SpillFileReader::Open(path);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(),
+              common::StatusCode::kInvalidArgument);
   }
-}
-
-TEST(ExternalShuffleProperty, TinyFanInForcesMultiPassMerge) {
-  common::ThreadPool pool(4);
-  auto serial_chunks = RandomChunks(KeyDist::kUniform, 9);
-  const auto serial = engine::SerialShuffle(serial_chunks);
-  auto chunks = RandomChunks(KeyDist::kUniform, 9);
-  engine::ShuffleConfig options;
-  options.memory_budget_bytes = 512;  // many small runs
-  options.merge_fan_in = 2;           // smallest legal fan-in
-  options.spill_dir = TestDir();
-  SpillStats stats;
-  auto external = engine::ExternalShuffle(chunks, pool, options, &stats);
-  ASSERT_TRUE(external.ok()) << external.status();
-  EXPECT_EQ(external->keys, serial.keys);
-  EXPECT_EQ(external->groups, serial.groups);
-  EXPECT_GT(stats.merge_passes, 1u);
-  EXPECT_GT(stats.spill_runs, 2u);
-}
-
-TEST(ExternalShuffleProperty, StringKeysAndValues) {
-  // Variable-length keys exercise the key-byte comparison path.
-  std::vector<std::vector<std::pair<std::string, std::string>>> chunks(3);
-  common::SplitMix64 rng(21);
-  for (auto& chunk : chunks) {
-    for (int i = 0; i < 200; ++i) {
-      const std::uint64_t k = rng.UniformBelow(37);
-      chunk.emplace_back("key-" + std::string(k % 5, 'x') +
-                             std::to_string(k),
-                         "value-" + std::to_string(i));
-    }
-  }
-  auto serial_chunks = chunks;
-  const auto serial = engine::SerialShuffle(serial_chunks);
-  common::ThreadPool pool(2);
-  engine::ShuffleConfig options;
-  options.memory_budget_bytes = 2048;
-  options.spill_dir = TestDir();
-  auto external = engine::ExternalShuffle(chunks, pool, options);
-  ASSERT_TRUE(external.ok()) << external.status();
-  EXPECT_EQ(external->keys, serial.keys);
-  EXPECT_EQ(external->groups, serial.groups);
 }
 
 /// Removes the per-process scratch directory. gtest runs suites in
