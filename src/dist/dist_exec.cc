@@ -131,13 +131,10 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     const std::size_t n = node.input_size(graph);
     MRCOST_CHECK(n != kUnknownSize);
     const std::size_t num_chunks = NumChunks(n, threads);
-    std::uint64_t pairs_hint = 0;
-    if (node.hint.replication > 0) {
-      pairs_hint = static_cast<std::uint64_t>(node.hint.replication *
-                                              static_cast<double>(n));
-    }
-    const std::size_t num_shards =
-        ResolveShardCount(resolved.num_shards, threads, pairs_hint);
+    // Shards follow the in-process rule, sized from the same sample.
+    const std::size_t num_shards = ResolveRoundShards(
+        node, graph, resolved.num_shards,
+        SampleRound(node, graph, resolved, options), threads);
     const std::size_t merge_fan_in = resolved.shuffle.merge_fan_in;
 
     // Wire transport: each reducer pulls one run per chunk, so its memory

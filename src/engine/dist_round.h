@@ -240,9 +240,8 @@ DistRoundOps MakeDistRoundOps(
     outcome.pairs = block.rows();
 
     // Partition rows by hash, then write one sorted run per non-empty
-    // shard: (hash, key bytes, row) order with pos = MakeSpillPos(chunk,
-    // row) — exactly SortedRunFromBlock's contract, applied to the
-    // non-contiguous row subset of each shard.
+    // shard over that shard's (non-contiguous) rows, with pos =
+    // MakeSpillPos(chunk, row).
     std::vector<std::vector<std::uint32_t>> shard_rows(spec.num_shards);
     for (std::size_t r = 0; r < block.rows(); ++r) {
       shard_rows[IndexOfHash(block.hash(r), spec.num_shards)].push_back(
@@ -251,25 +250,10 @@ DistRoundOps MakeDistRoundOps(
     for (std::uint32_t p = 0; p < spec.num_shards; ++p) {
       std::vector<std::uint32_t>& rows = shard_rows[p];
       if (rows.empty()) continue;
-      std::sort(rows.begin(), rows.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  if (block.hash(a) != block.hash(b)) {
-                    return block.hash(a) < block.hash(b);
-                  }
-                  const int c =
-                      block.key_bytes(a).compare(block.key_bytes(b));
-                  if (c != 0) return c < 0;
-                  return a < b;  // row order == emission (pos) order
-                });
-      storage::ColumnarRun run;
-      run.hashes.reserve(rows.size());
-      run.positions.reserve(rows.size());
-      for (const std::uint32_t r : rows) {
-        run.hashes.push_back(block.hash(r));
-        run.positions.push_back(storage::MakeSpillPos(spec.chunk_index, r));
-        run.keys.Append(block.key_bytes(r));
-        run.values.AppendSerialized(block.value(r));
-      }
+      const storage::ColumnarRun run = storage::SortedRunFromRows(
+          block, rows, [&](std::uint32_t r) {
+            return storage::MakeSpillPos(spec.chunk_index, r);
+          });
       if (spec.run_registry != nullptr) {
         // Wire transport: the same frame slicing the file writer would
         // have used, but raw columnar frames kept local for reducers to

@@ -471,25 +471,23 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 
   /// Stages a round over a materialized input vector. `inputs` must stay
   /// valid until the executor drains the round (`keepalive`, when set,
-  /// guarantees that for plan slots). `pairs_hint` sizes the shard count
-  /// before any pair exists — the plan driver passes its declared or
-  /// sampled pair estimate; 0 means unknown, which assumes a large round
-  /// (one shard per thread) rather than starving fan-out rounds of
-  /// parallelism.
+  /// guarantees that for plan slots). The shard count is fixed before
+  /// any pair exists: `options.num_shards` when set (the plan driver pins
+  /// it from its pair estimate, ResolveRoundShards in plan.h), else one
+  /// shard per thread — a large round is assumed rather than starving
+  /// fan-out rounds of parallelism.
   static std::shared_ptr<StagedRound> StageMaterialized(
       StageGraphExecutor& exec, std::uint32_t round_tag,
       const std::vector<In>& inputs, std::shared_ptr<const void> keepalive,
       MapFn map_fn, CombineFn combine_fn, ReduceFn reduce_fn,
-      const JobOptions& options, std::uint64_t pairs_hint = 0) {
+      const JobOptions& options) {
     auto self = std::shared_ptr<StagedRound>(new StagedRound(
         exec, round_tag, std::move(map_fn), std::move(combine_fn),
         std::move(reduce_fn), options));
     self->self_ = self;
     self->inputs_ = &inputs;
     self->keepalive_ = std::move(keepalive);
-    self->BuildMaterialized(
-        pairs_hint == 0 ? static_cast<std::size_t>(-1)
-                        : static_cast<std::size_t>(pairs_hint));
+    self->BuildMaterialized();
     return self;
   }
 
@@ -626,7 +624,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
     exec_base_ms_ = exec_.NowMs();
   }
 
-  void BuildMaterialized(std::size_t pairs_hint);
+  void BuildMaterialized();
   void BuildStreamed(StreamSource<In>* upstream);
   void StageGroupAndReduce();
 
@@ -755,7 +753,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
-    BuildMaterialized(std::size_t pairs_hint) {
+    BuildMaterialized() {
   const std::size_t n = inputs_->size();
   num_map_tasks_ = NumChunks(n, exec_.pool().num_threads());
   result_.metrics.num_inputs = n;
@@ -764,8 +762,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
                       ? 1
                       : ResolveShardCount(options_.num_shards,
                                           exec_.pool().num_threads(),
-                                          std::max<std::size_t>(pairs_hint,
-                                                                1));
+                                          static_cast<std::size_t>(-1));
     use_range_ =
         options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
         num_shards_ > 1;

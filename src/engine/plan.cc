@@ -121,6 +121,34 @@ PartitionerKind ChoosePartitioner(const ShuffleConfig& config,
              : PartitionerKind::kHash;
 }
 
+MapSample SampleRound(const PlanNode& node, const PlanGraph& graph,
+                      const JobOptions& resolved,
+                      const ExecutionOptions& options) {
+  const bool chooses =
+      resolved.shuffle.strategy == ShuffleStrategy::kAuto ||
+      resolved.shuffle.partitioner == PartitionerKind::kAuto;
+  if (!options.choose_strategy_per_round || !chooses) return MapSample{};
+  return node.sample(graph, options.strategy_sample_inputs);
+}
+
+std::size_t ResolveRoundShards(const PlanNode& node, const PlanGraph& graph,
+                               std::size_t requested, const MapSample& sample,
+                               std::size_t threads) {
+  double pairs = 0;  // below one pair: no estimate
+  const std::size_t input_size = node.input_size(graph);
+  if (input_size != kUnknownSize) {
+    const double n = static_cast<double>(input_size);
+    if (node.hint.replication > 0) {
+      pairs = node.hint.replication * n;
+    } else if (sample.valid) {
+      pairs = sample.pairs_per_input * n;
+    }
+  }
+  return ResolveShardCount(requested, threads,
+                           pairs >= 1 ? static_cast<std::size_t>(pairs)
+                                      : static_cast<std::size_t>(-1));
+}
+
 /// What the planner would tell the cost model about this round, mirroring
 /// EstimatePlanGraph's pricing inputs: declared hints first, the chooser's
 /// map sample as fallback. Attached to the round's trace span and used for
@@ -245,7 +273,7 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
     MapSample sample;
     std::shared_ptr<StagedHandleBase> handle;
     if (stream) {
-      handle = node.stage(graph, exec, resolved, handles[producer], 0);
+      handle = node.stage(graph, exec, resolved, handles[producer]);
       if (handle != nullptr) {
         // The producer's finalize moves its shard outputs; sequence it
         // behind the consumer's map tasks that read them.
@@ -255,9 +283,9 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
     }
     if (handle == nullptr) {
       close_chain();  // materialize this round's input
+      sample = SampleRound(node, graph, resolved, options);
       if (options.choose_strategy_per_round &&
           resolved.shuffle.strategy == ShuffleStrategy::kAuto) {
-        sample = node.sample(graph, options.strategy_sample_inputs);
         resolved.shuffle.strategy = ChooseStrategy(resolved.shuffle, sample,
                                                    node.input_size(graph));
         // An explicit shard request asks for the sharded code path; the
@@ -274,27 +302,12 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
         // distribution flips the round to sampled-range partitioning
         // (outputs unchanged — the deterministic merge runs on scan
         // tags, not shard ownership).
-        if (!sample.valid) {
-          sample = node.sample(graph, options.strategy_sample_inputs);
-        }
         resolved.shuffle.partitioner =
             ChoosePartitioner(resolved.shuffle, sample);
       }
-      // Shard sizing from whatever estimate is on hand: the declared
-      // schema replication, else the chooser's sample (0 = unknown).
-      std::uint64_t pairs_hint = 0;
-      const std::size_t input_size = node.input_size(graph);
-      if (input_size != kUnknownSize) {
-        const double n = static_cast<double>(input_size);
-        if (node.hint.replication > 0) {
-          pairs_hint =
-              static_cast<std::uint64_t>(node.hint.replication * n);
-        } else if (sample.valid) {
-          pairs_hint =
-              static_cast<std::uint64_t>(sample.pairs_per_input * n);
-        }
-      }
-      handle = node.stage(graph, exec, resolved, nullptr, pairs_hint);
+      resolved.num_shards = ResolveRoundShards(
+          node, graph, resolved.num_shards, sample, exec.pool().num_threads());
+      handle = node.stage(graph, exec, resolved, nullptr);
     }
     handles[id] = handle;
     handle->SetPrediction(

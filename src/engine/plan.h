@@ -341,12 +341,11 @@ struct PlanNode {
   /// for the streamed form (input read per-shard from the producer's
   /// StreamSource); returns null if this round cannot stream, in which
   /// case the driver materializes the input and calls again with null.
-  /// `pairs_hint` is the driver's pair estimate for shard sizing (0 =
-  /// unknown).
+  /// The driver pins a materialized round's shard count in the options
+  /// (ResolveRoundShards).
   std::function<std::shared_ptr<StagedHandleBase>(
       PlanGraph&, StageGraphExecutor& exec, const JobOptions&,
-      const std::shared_ptr<StagedHandleBase>& upstream,
-      std::uint64_t pairs_hint)>
+      const std::shared_ptr<StagedHandleBase>& upstream)>
       stage;
   std::function<MapSample(const PlanGraph&, std::size_t)> sample;
   std::function<std::size_t(const PlanGraph&)> input_size;
@@ -436,6 +435,24 @@ ShuffleStrategy ChooseStrategy(const ShuffleConfig& config,
 /// otherwise. An explicit configuration always wins.
 PartitionerKind ChoosePartitioner(const ShuffleConfig& config,
                                   const MapSample& sample);
+
+/// The map sample a round over a materialized input is decided from:
+/// drawn when the per-round chooser is on and the round leaves its
+/// strategy or partitioner to it, invalid otherwise. Both backends draw
+/// the same one, so shard sizing agrees between them.
+MapSample SampleRound(const PlanNode& node, const PlanGraph& graph,
+                      const JobOptions& resolved,
+                      const ExecutionOptions& options);
+
+/// The reduce shard count of a round over a materialized input, one rule
+/// for both backends (ExecutePlanGraph and ExecutePlanGraphMulti). An
+/// explicit request wins. Otherwise the round's pair estimate sizes it
+/// through ResolveShardCount: the declared replication × n, else the
+/// sample's pairs per input × n. With neither estimate the round counts
+/// as large (one shard per thread), never as empty.
+std::size_t ResolveRoundShards(const PlanNode& node, const PlanGraph& graph,
+                               std::size_t requested, const MapSample& sample,
+                               std::size_t threads);
 
 /// Runs every round node that `target` depends on (all rounds when
 /// target == kNoNode) in node order on one StageGraphExecutor,
@@ -703,8 +720,7 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
                    internal::PlanGraph& graph, StageGraphExecutor& exec,
                    const JobOptions& options,
                    const std::shared_ptr<internal::StagedHandleBase>&
-                       upstream,
-                   std::uint64_t pairs_hint)
+                       upstream)
       -> std::shared_ptr<internal::StagedHandleBase> {
     using PlainRound = internal::StagedRound<In, K, V, Out, MapFn,
                                              internal::NoCombine, ReduceStd>;
@@ -726,14 +742,13 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
         std::static_pointer_cast<const std::vector<In>>(graph.slots[in_id]);
     if (combine_fn) {
       auto round = CombinedRound::StageMaterialized(
-          exec, tag, *input, input, map_fn, combine_fn, reduce_fn, options,
-          pairs_hint);
+          exec, tag, *input, input, map_fn, combine_fn, reduce_fn, options);
       round->set_output_slot(&graph.slots[out_id]);
       return round;
     }
     auto round = PlainRound::StageMaterialized(
         exec, tag, *input, input, map_fn, internal::NoCombine{}, reduce_fn,
-        options, pairs_hint);
+        options);
     round->set_output_slot(&graph.slots[out_id]);
     return round;
   };

@@ -28,8 +28,10 @@ std::atomic<std::uint64_t> next_registry_id{1};
 
 // Shards are looked up thread-locally by a process-unique registry id (not
 // the Registry address, which freestanding test instances could reuse).
-thread_local std::unordered_map<
-    std::uint64_t, std::shared_ptr<void>>* tls_shards = nullptr;
+// Each thread owns its map; the shards themselves stay alive in their
+// registry's shards_ after the thread exits.
+thread_local std::unordered_map<std::uint64_t, std::shared_ptr<void>>
+    tls_shards;
 
 }  // namespace
 
@@ -71,18 +73,14 @@ Registry::Shard& Registry::LocalShard() {
   if (cached_shard != nullptr && cached_id == id) {
     return *cached_shard;
   }
-  if (tls_shards == nullptr) {
-    tls_shards =
-        new std::unordered_map<std::uint64_t, std::shared_ptr<void>>();
-  }
-  auto it = tls_shards->find(id);
-  if (it == tls_shards->end()) {
+  auto it = tls_shards.find(id);
+  if (it == tls_shards.end()) {
     auto shard = std::make_shared<Shard>();
     {
       std::lock_guard<std::mutex> lock(mu_);
       shards_.push_back(shard);
     }
-    it = tls_shards->emplace(id, shard).first;
+    it = tls_shards.emplace(id, shard).first;
   }
   cached_id = id;
   cached_shard = static_cast<Shard*>(it->second.get());

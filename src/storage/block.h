@@ -432,39 +432,89 @@ class KVBlock {
   std::vector<Value> values_;
 };
 
-/// Sorts rows [lo, hi) of `block` into spill order and serializes them as
-/// a ColumnarRun. Row r's emission position is MakeSpillPos-style
-/// `local_base + (r - lo)` packed by the caller via `make_pos`; the rows
-/// of [lo, hi) must be in emission order (they are — row index is local
-/// emission position). Values serialize here, at spill time only.
+/// Reorders `rows` — ascending row indices of `block`, any subset — into
+/// spill order: (hash, key bytes, row), row order being emission (pos)
+/// order. Groups instead of comparison-sorting every row: one KeyIndex
+/// pass gives each row its key's dense group id, only the distinct keys
+/// are sorted by (hash, key bytes), and a counting scatter lays out each
+/// key's rows in their ascending input order.
+template <typename Key, typename Value>
+void SortRowsByKey(const KVBlock<Key, Value>& block,
+                   std::vector<std::uint32_t>& rows) {
+  const std::size_t n = rows.size();
+  if (n < 2) return;
+  KeyIndex index;
+  std::vector<std::uint32_t> group_of(n);
+  std::vector<std::uint32_t> first_row;  // per group
+  std::vector<std::uint32_t> count;      // per group
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = rows[i];
+    bool inserted = false;
+    const auto g = static_cast<std::uint32_t>(
+        index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted));
+    if (inserted) {
+      first_row.push_back(r);
+      count.push_back(0);
+    }
+    ++count[g];
+    group_of[i] = g;
+  }
+
+  // (hash, key bytes) are distinct per group, so this order is total.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys(first_row.size());
+  for (std::uint32_t g = 0; g < keys.size(); ++g) {
+    keys[g] = {block.hash(first_row[g]), g};
+  }
+  std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return block.key_bytes(first_row[a.second]) <
+           block.key_bytes(first_row[b.second]);
+  });
+
+  // count[g] becomes group g's first output slot.
+  std::uint32_t next = 0;
+  for (const auto& key : keys) {
+    const std::uint32_t size = count[key.second];
+    count[key.second] = next;
+    next += size;
+  }
+  std::vector<std::uint32_t> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[count[group_of[i]]++] = rows[i];
+  rows = std::move(sorted);
+}
+
+/// Sorts `rows` of `block` into spill order (SortRowsByKey) and
+/// serializes them as a ColumnarRun; row r's position is `make_pos(r)`.
+/// Values serialize here, at spill time only.
 template <typename Key, typename Value, typename MakePos>
-ColumnarRun SortedRunFromBlock(const KVBlock<Key, Value>& block,
-                               std::size_t lo, std::size_t hi,
-                               MakePos make_pos) {
-  const std::size_t n = hi - lo;
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::size_t ra = lo + a, rb = lo + b;
-              if (block.hash(ra) != block.hash(rb)) {
-                return block.hash(ra) < block.hash(rb);
-              }
-              const int c = block.key_bytes(ra).compare(block.key_bytes(rb));
-              if (c != 0) return c < 0;
-              return a < b;  // row order == emission order == pos order
-            });
+ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
+                              std::vector<std::uint32_t>& rows,
+                              MakePos make_pos) {
+  SortRowsByKey(block, rows);
   ColumnarRun run;
-  run.hashes.reserve(n);
-  run.positions.reserve(n);
-  for (const std::uint32_t j : order) {
-    const std::size_t r = lo + j;
+  run.hashes.reserve(rows.size());
+  run.positions.reserve(rows.size());
+  for (const std::uint32_t r : rows) {
     run.hashes.push_back(block.hash(r));
-    run.positions.push_back(make_pos(j));
+    run.positions.push_back(make_pos(r));
     run.keys.Append(block.key_bytes(r));
     run.values.AppendSerialized(block.value(r));
   }
   return run;
+}
+
+/// SortedRunFromRows over the contiguous rows [lo, hi) of `block`, with
+/// row r's position `make_pos(r - lo)` — the caller packs it
+/// MakeSpillPos-style from its local emission base.
+template <typename Key, typename Value, typename MakePos>
+ColumnarRun SortedRunFromBlock(const KVBlock<Key, Value>& block,
+                               std::size_t lo, std::size_t hi,
+                               MakePos make_pos) {
+  std::vector<std::uint32_t> rows(hi - lo);
+  std::iota(rows.begin(), rows.end(), static_cast<std::uint32_t>(lo));
+  return SortedRunFromRows(block, rows, [&](std::uint32_t r) {
+    return make_pos(static_cast<std::uint32_t>(r - lo));
+  });
 }
 
 }  // namespace mrcost::storage

@@ -708,6 +708,65 @@ TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
   }
 }
 
+/// The realized shape of one traced shuffle_sweep execution: the Round
+/// span's `shards` arg and how many dist-reduce spans the workers sent.
+struct SweepShape {
+  std::uint64_t round_shards = 0;
+  std::size_t reduce_spans = 0;
+};
+
+SweepShape TracedSweepShape(engine::ExecutionOptions options) {
+  auto dir = common::TempDir::Create();
+  MRCOST_CHECK_OK(dir.status());
+  options.trace_out = dir->path() + "/trace.json";
+  auto plan = dist::PlanRegistry::Global().Build(
+      "shuffle_sweep", "pairs=200000,keys=1024,seed=5");
+  MRCOST_CHECK_OK(plan.status());
+  plan->Execute(options);
+
+  std::ifstream in(options.trace_out);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  auto events = obs::ParseChromeTrace(buffer.str());
+  MRCOST_CHECK_OK(events.status());
+  SweepShape shape;
+  for (const obs::TraceEvent& event : *events) {
+    if (event.name == "dist-reduce") ++shape.reduce_spans;
+    if (event.name != "Round") continue;
+    for (const obs::TraceArg& arg : event.args) {
+      if (arg.key == "shards") shape.round_shards = std::stoull(arg.value);
+    }
+  }
+  return shape;
+}
+
+TEST(DistBackend, ShardCountMatchesInProcess) {
+  // Both backends size a round's shards by one rule: with 4 threads
+  // pinned and ~200k sampled pairs, 4 shards. A multi-process round used
+  // to read its missing replication hint as "zero pairs" and run every
+  // reducer in one reduce task.
+  engine::JobOptions pinned;
+  pinned.num_threads = 4;
+  const SweepShape in_process =
+      TracedSweepShape(engine::ExecutionOptions(pinned));
+  ASSERT_EQ(in_process.round_shards, 4u);
+  ASSERT_EQ(in_process.reduce_spans, 0u);
+
+  for (const engine::ShuffleTransport transport :
+       {engine::ShuffleTransport::kSpillFiles,
+        engine::ShuffleTransport::kWireStream}) {
+    engine::ExecutionOptions options(pinned);
+    options.backend = engine::ExecutionBackend::kMultiProcess;
+    options.dist.num_workers = 2;
+    options.dist.shuffle_transport = transport;
+    const SweepShape multi = TracedSweepShape(options);
+    const char* name =
+        transport == engine::ShuffleTransport::kWireStream ? "wire" : "spill";
+    EXPECT_EQ(multi.round_shards, in_process.round_shards) << name;
+    EXPECT_EQ(multi.reduce_spans, in_process.round_shards) << name;
+  }
+}
+
 TEST(DistBackend, SurvivesWorkerKillMidMapByteIdentical) {
   auto& registry = dist::PlanRegistry::Global();
   const std::string args = "pairs=20000,keys=256,seed=9";

@@ -83,8 +83,8 @@ TEST(StageGraphExecutor, RecordsSpansForEveryTask) {
   common::ThreadPool pool(2);
   StageGraphExecutor exec(pool);
   const auto a = exec.AddTask(StageKind::kMap, 7, {}, [] {
-    volatile int sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
+    volatile std::uint32_t sink = 0;
+    for (std::uint32_t i = 0; i < 100000; ++i) sink = sink + i;
   });
   exec.Wait();
   const TaskSpan span = exec.SpanOf(a);

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -629,6 +630,102 @@ TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
       EXPECT_EQ(grouped.groups, serial.groups);
     }
   }
+}
+
+using TestBlock = KVBlock<std::uint64_t, int>;
+
+/// The spill order as a plain comparison sort of every row by (hash, key
+/// bytes, row) — the oracle SortRowsByKey's grouping must reproduce.
+std::vector<std::uint32_t> OracleSpillOrder(const TestBlock& block,
+                                            std::vector<std::uint32_t> rows) {
+  std::sort(rows.begin(), rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (block.hash(a) != block.hash(b)) return block.hash(a) < block.hash(b);
+    const int c = block.key_bytes(a).compare(block.key_bytes(b));
+    if (c != 0) return c < 0;
+    return a < b;
+  });
+  return rows;
+}
+
+/// Checks SortRowsByKey over `rows`, and SortedRunFromBlock over the
+/// contiguous window [lo, hi), against the oracle.
+void ExpectOracleSpillOrder(const TestBlock& block,
+                            const std::vector<std::uint32_t>& rows,
+                            std::size_t lo, std::size_t hi) {
+  std::vector<std::uint32_t> grouped = rows;
+  SortRowsByKey(block, grouped);
+  EXPECT_EQ(grouped, OracleSpillOrder(block, rows));
+
+  std::vector<std::uint32_t> window(hi - lo);
+  std::iota(window.begin(), window.end(), static_cast<std::uint32_t>(lo));
+  const auto expected = OracleSpillOrder(block, window);
+  const ColumnarRun run = SortedRunFromBlock(
+      block, lo, hi, [](std::uint32_t j) { return MakeSpillPos(3, j); });
+  ASSERT_EQ(run.rows(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::uint32_t r = expected[i];
+    ASSERT_EQ(run.hashes[i], block.hash(r)) << i;
+    ASSERT_EQ(run.positions[i], MakeSpillPos(3, r - lo)) << i;
+    ASSERT_EQ(run.keys.At(i), block.key_bytes(r)) << i;
+    std::string value;
+    SerializeValue(block.value(r), value);
+    ASSERT_EQ(run.values.At(i), value) << i;
+  }
+}
+
+std::vector<std::uint32_t> AllRows(const TestBlock& block) {
+  std::vector<std::uint32_t> rows(block.rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
+TEST(SpillOrder, GroupingMatchesComparisonSortAcrossDistributions) {
+  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
+                       KeyDist::kAllDistinct}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
+                   std::to_string(seed));
+      TestBlock block;
+      for (auto& chunk : RandomChunks(dist, seed)) {
+        for (auto& [key, value] : chunk) block.Append(key, std::move(value));
+      }
+      const std::size_t n = block.rows();
+      ExpectOracleSpillOrder(block, AllRows(block), n / 4, n - n / 4);
+      // A non-contiguous subset, as a map task passes one shard's rows.
+      std::vector<std::uint32_t> subset;
+      for (std::uint32_t r = 0; r < n; ++r) {
+        if (r % 3 != 1) subset.push_back(r);
+      }
+      ExpectOracleSpillOrder(block, subset, 0, n);
+    }
+  }
+}
+
+TEST(SpillOrder, GroupingMatchesComparisonSortOnEdgeCases) {
+  TestBlock empty;
+  ExpectOracleSpillOrder(empty, {}, 0, 0);
+
+  TestBlock one;
+  one.Append(9, 1);
+  ExpectOracleSpillOrder(one, {0}, 0, 1);
+
+  TestBlock same;
+  for (int v = 0; v < 50; ++v) same.Append(5, std::move(v));
+  ExpectOracleSpillOrder(same, AllRows(same), 0, same.rows());
+
+  // Forced collisions: equal hashes over different key bytes, so the
+  // order must fall through to the key bytes and then to the row.
+  TestBlock collide;
+  const char* keys[] = {"b", "a", "c", "a", "bb", "b", "", "a", "c"};
+  const std::uint64_t hashes[] = {7, 7, 7, 7, 7, 7, 7, 3, 3};
+  for (int i = 0; i < 9; ++i) {
+    collide.AppendRaw(keys[i], hashes[i], std::move(i));
+  }
+  ExpectOracleSpillOrder(collide, AllRows(collide), 0, collide.rows());
+  ExpectOracleSpillOrder(collide, {0, 2, 3, 5, 7, 8}, 2, 7);
+  std::vector<std::uint32_t> rows = AllRows(collide);
+  SortRowsByKey(collide, rows);
+  EXPECT_EQ(rows, (std::vector<std::uint32_t>{7, 8, 6, 1, 3, 0, 5, 4, 2}));
 }
 
 TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
