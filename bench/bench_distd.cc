@@ -10,9 +10,10 @@
 // What to expect: on a multi-core host, makespan should fall from 1 to
 // 4 workers (map chunks and reduce shards genuinely run in separate
 // processes), then flatten once worker count passes the round's
-// chunk/shard parallelism. The round is pinned to num_threads=8 (32
-// chunks, 8 shards) so the task graph is host-independent and the sweep
-// measures worker scaling, not chunking. The transport dimension is the
+// chunk/shard parallelism. The round runs 16 map chunks (the cap for any
+// round of >= 64k inputs) and is pinned to num_threads=8 (8 shards), so
+// the task graph is host-independent and the sweep measures worker
+// scaling, not chunking. The transport dimension is the
 // point of comparison: transport=spill pays serialization + shared-dir
 // disk write + read-back for every map output, while transport=wire
 // keeps runs in worker memory and streams them socket-to-socket, so its
@@ -235,7 +236,7 @@ int main(int argc, char** argv) {
   mrcost::common::Table table({"backend", "transport", "workers", "sec",
                                "Mpairs/s", "shuffle_MB/s", "spill_MB"});
 
-  // Pin the round's task graph (32 chunks, 8 shards) independent of the
+  // Pin the round's task graph (16 chunks, 8 shards) independent of the
   // host's core count: the sweep varies worker processes, nothing else.
   ExecutionOptions in_process;
   in_process.pipeline.round_defaults.num_threads = 8;

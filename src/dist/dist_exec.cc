@@ -121,20 +121,14 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     if (node.is_source || !needed[id]) continue;
 
     const JobOptions resolved = ResolveRoundOptions(node, options);
-    // Chunking must mirror what the in-process backend would do on this
-    // machine: combined rounds fold per chunk, so per-chunk partials —
-    // and therefore reduce inputs — depend on the chunk count. Keying it
-    // to the resolved thread count (not the worker count) keeps outputs
-    // byte-identical to the in-process run and invariant across worker
-    // counts.
-    const std::size_t threads = resolved.ResolvedThreads();
     const std::size_t n = node.input_size(graph);
     MRCOST_CHECK(n != kUnknownSize);
-    const std::size_t num_chunks = NumChunks(n, threads);
+    const std::size_t num_chunks = NumChunks(n);
     // Shards follow the in-process rule, sized from the same sample.
     const std::size_t num_shards = ResolveRoundShards(
         node, graph, resolved.num_shards,
-        SampleRound(node, graph, resolved, options), threads);
+        SampleRound(node, graph, resolved, options),
+        resolved.ResolvedThreads());
     const std::size_t merge_fan_in = resolved.shuffle.merge_fan_in;
 
     // Wire transport: each reducer pulls one run per chunk, so its memory

@@ -55,6 +55,9 @@ common::Status ReadAll(int fd, char* data, std::size_t n,
     const ssize_t r = ::read(fd, data + got, n - got);
     if (r < 0) {
       if (errno == EINTR) continue;
+      if (errno == ECONNRESET) {
+        return common::Status::Unavailable("rpc: connection reset by peer");
+      }
       return common::Status::Internal(
           std::string("rpc: read failed: ") + std::strerror(errno));
     }
@@ -140,6 +143,12 @@ common::Status ReadFrame(int fd, std::string& payload) {
 
 bool IsEof(const common::Status& status) {
   return status.code() == common::StatusCode::kNotFound;
+}
+
+bool IsPeerLost(const common::Status& status) {
+  return IsEof(status) ||
+         status.code() == common::StatusCode::kOutOfRange ||
+         status.code() == common::StatusCode::kUnavailable;
 }
 
 }  // namespace mrcost::dist

@@ -17,9 +17,10 @@ namespace mrcost::dist {
 ///
 /// ReadFrame's Status contract mirrors SpillFileReader::Next: a clean EOF
 /// at a frame boundary returns kNotFound ("eof" — the peer closed its
-/// end), a partial frame kOutOfRange ("truncated"), a CRC mismatch
-/// kInternal, and an over-limit length kInvalidArgument. Both calls
-/// retry EINTR and handle short reads/writes.
+/// end), a partial frame kOutOfRange ("truncated"), a connection reset
+/// by the peer kUnavailable (it died with bytes of ours unread), a CRC
+/// mismatch kInternal, and an over-limit length kInvalidArgument. Both
+/// calls retry EINTR and handle short reads/writes.
 
 /// Frames larger than this are rejected on both sides (a corrupt length
 /// prefix must not trigger a giant allocation).
@@ -52,6 +53,10 @@ common::Status ReadFrame(int fd, std::string& payload);
 
 /// True iff `status` is ReadFrame's clean-EOF result.
 bool IsEof(const common::Status& status);
+
+/// True iff `status` is a ReadFrame result meaning the peer went away:
+/// a clean EOF, a frame cut short, or a reset connection.
+bool IsPeerLost(const common::Status& status);
 
 }  // namespace mrcost::dist
 

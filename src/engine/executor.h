@@ -332,13 +332,27 @@ class PoolRef {
   common::ThreadPool* pool_ = nullptr;
 };
 
-/// Chunking shared by every round form: inputs are cut into contiguous
-/// chunks, a small multiple of the thread count. Chunk boundaries never
-/// affect results: grouping runs in scan-order-tag order, which equals
-/// emission order in input order for every chunking.
-inline std::size_t NumChunks(std::size_t num_inputs,
-                             std::size_t num_threads) {
-  return std::max<std::size_t>(1, std::min(num_inputs, num_threads * 4));
+/// Below this many inputs a map task is not worth its own chunk: per-task
+/// overhead (a block, a spill tail, a run per source) dominates. The same
+/// floor ResolveShardCount applies per shard (its kMinPairsPerShard).
+inline constexpr std::size_t kMinInputsPerChunk = 4096;
+/// Upper bound on a materialized round's map tasks: 4 chunks per thread of
+/// a 4-thread pool (the benchmark's), so rounds of >= 64k inputs keep that
+/// task graph. The trade-off: a pool wider than 16 threads runs at most 16
+/// map tasks per materialized round.
+inline constexpr std::size_t kMaxChunks = 16;
+
+/// Chunking shared by every materialized round, in-process and
+/// multi-process: inputs are cut into contiguous chunks, one per
+/// kMinInputsPerChunk inputs, at most kMaxChunks. The count is a function
+/// of the input size alone, never of the thread count, so a combined round
+/// (which folds once per chunk) shuffles the same pairs and simulates the
+/// same loads on every host. Chunk boundaries never affect results:
+/// grouping runs in scan-order-tag order, which equals emission order in
+/// input order for every chunking.
+inline std::size_t NumChunks(std::size_t num_inputs) {
+  return std::max<std::size_t>(
+      1, std::min(kMaxChunks, num_inputs / kMinInputsPerChunk));
 }
 
 /// Scan-order tag carried by every routed pair. Lexicographic (major,
@@ -755,7 +769,7 @@ template <typename In, typename K, typename V, typename Out, typename MapFn,
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
     BuildMaterialized() {
   const std::size_t n = inputs_->size();
-  num_map_tasks_ = NumChunks(n, exec_.pool().num_threads());
+  num_map_tasks_ = NumChunks(n);
   result_.metrics.num_inputs = n;
   if (strategy_ != ShuffleStrategy::kExternal) {
     num_shards_ = strategy_ == ShuffleStrategy::kSerial

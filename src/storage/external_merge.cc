@@ -137,6 +137,9 @@ common::Status ReduceBlockFanIn(
       if (auto status = spiller.CloseBlockRun(*writer); !status.ok()) {
         return status;
       }
+      // Close the batch's run files now, not at the end of the pass: the
+      // fan-in bounds how many files the merge holds open.
+      for (std::size_t i = lo; i < hi; ++i) sources[i].reset();
       next.push_back(std::make_unique<DiskBlockRunSource>(writer->path()));
     }
     sources = std::move(next);

@@ -313,8 +313,9 @@ bool WireBlockRunSource::Open() {
 bool WireBlockRunSource::NextBlock() {
   const auto t0 = std::chrono::steady_clock::now();
   if (auto status = dist::ReadFrame(fd_, payload_); !status.ok()) {
-    // EOF mid-stream = the owner died under us; retryable.
-    status_ = dist::IsEof(status)
+    // The stream ended early (EOF, a cut frame, a reset) = the owner died
+    // under us; retryable.
+    status_ = dist::IsPeerLost(status)
                   ? common::Status::Unavailable(
                         "wire run: source closed mid-stream for " +
                         options_.run_id)

@@ -112,6 +112,24 @@ TEST(RpcFrame, TruncatedFrameIsOutOfRange) {
   EXPECT_FALSE(dist::IsEof(status));
 }
 
+TEST(RpcFrame, PeerResetIsUnavailableAndPeerLost) {
+  // A peer that dies with our frame unread resets the connection instead
+  // of closing it cleanly: the read fails kUnavailable, and like an EOF or
+  // a cut frame it reads as the peer being gone.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(dist::WriteFrame(sv[0], "never read").ok());
+  ::close(sv[1]);
+  std::string got;
+  const Status status = dist::ReadFrame(sv[0], got);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(dist::IsPeerLost(status));
+  EXPECT_TRUE(dist::IsPeerLost(Status::NotFound("rpc: eof")));
+  EXPECT_TRUE(dist::IsPeerLost(Status::OutOfRange("rpc: truncated frame")));
+  EXPECT_FALSE(dist::IsPeerLost(Status::Internal("rpc: frame crc mismatch")));
+  ::close(sv[0]);
+}
+
 TEST(RpcFrame, TruncatedHeaderIsOutOfRange) {
   Pipe pipe;
   ASSERT_EQ(::write(pipe.fds[1], "abc", 3), 3);

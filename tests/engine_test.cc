@@ -247,9 +247,11 @@ TEST(Job, ReplicationRateCountsAllEmits) {
 
 TEST(Job, ValueOrderIsInputOrder) {
   // All inputs to one key; values must arrive in input order regardless of
-  // the number of map threads.
-  std::vector<int> inputs(1000);
+  // the number of map threads. Several map tasks, so the order is the
+  // cross-task scan-order merge's, not one task's emission order.
+  std::vector<int> inputs(3 * internal::kMinInputsPerChunk);
   std::iota(inputs.begin(), inputs.end(), 0);
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   for (std::size_t threads : {1u, 4u, 16u}) {
     JobOptions options;
     options.num_threads = threads;
@@ -268,8 +270,10 @@ TEST(Job, ValueOrderIsInputOrder) {
 }
 
 TEST(Job, DeterministicAcrossThreadCounts) {
-  std::vector<int> inputs(997);
+  // A prime input size: the map tasks' chunks are uneven.
+  std::vector<int> inputs(12289);
   std::iota(inputs.begin(), inputs.end(), 0);
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   JobOptions one;
   one.num_threads = 1;
   JobOptions many;
@@ -421,10 +425,11 @@ TEST(Combiner, NoOpWhenKeysAreUnique) {
 }
 
 TEST(Combiner, DeterministicAcrossThreadCounts) {
-  std::vector<int> inputs(4321);
+  std::vector<int> inputs(3 * 4321);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 13);
   }
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
     emitter.Emit(x, x);
   };
@@ -449,9 +454,52 @@ TEST(Combiner, DeterministicAcrossThreadCounts) {
   std::sort(a.outputs.begin(), a.outputs.end());
   std::sort(b.outputs.begin(), b.outputs.end());
   EXPECT_EQ(a.outputs, b.outputs);
-  // Sums are thread-layout independent even though per-chunk combining
-  // differs.
+  // The chunking, and so the per-chunk combining, follows the input size
+  // alone: the traffic before and after combining is thread-independent.
   EXPECT_EQ(a.metrics.pairs_before_combine, b.metrics.pairs_before_combine);
+  EXPECT_EQ(a.metrics.pairs_shuffled, b.metrics.pairs_shuffled);
+}
+
+TEST(Combiner, SimulatedMetricsIdenticalAcrossThreadCounts) {
+  // The simulated metrics of a combined round are identical for every
+  // thread count at a fixed seed: a combined round folds once per map
+  // chunk, so this holds only if the chunk count ignores the pool width.
+  std::vector<int> inputs(10 * internal::kMinInputsPerChunk);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i] = static_cast<int>(i % 7);
+  }
+  ASSERT_GT(internal::NumChunks(inputs.size()), 1u);
+  auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
+    emitter.Emit(x, 1);
+  };
+  auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
+  auto reduce_fn = [](const int& key,
+                      const std::vector<std::int64_t>& values,
+                      std::vector<std::pair<int, std::int64_t>>& out) {
+    std::int64_t total = 0;
+    for (std::int64_t v : values) total += v;
+    out.emplace_back(key, total);
+  };
+  auto run = [&](std::size_t threads) {
+    JobOptions options;
+    options.num_threads = threads;
+    options.simulation.num_workers = 4;
+    options.simulation.seed = 7;
+    return RunMapReduceCombined<int, int, std::int64_t,
+                                std::pair<int, std::int64_t>>(
+        inputs, map_fn, combine_fn, reduce_fn, options);
+  };
+  const auto reference = run(1);
+  EXPECT_GT(reference.metrics.makespan, 0.0);
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto other = run(threads);
+    EXPECT_EQ(other.outputs, reference.outputs);
+    EXPECT_EQ(other.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
+    EXPECT_DOUBLE_EQ(other.metrics.worker_loads.sum(),
+                     reference.metrics.worker_loads.sum());
+    EXPECT_DOUBLE_EQ(other.metrics.makespan, reference.metrics.makespan);
+  }
 }
 
 TEST(Combiner, EmptyInput) {
@@ -473,8 +521,9 @@ TEST(Combiner, EmptyInput) {
 /// order matters and enough keys that every shard owns some.
 JobResult<std::pair<int, std::uint64_t>> FanoutJob(
     const JobOptions& options) {
-  std::vector<int> inputs(3000);
+  std::vector<int> inputs(9000);
   std::iota(inputs.begin(), inputs.end(), 0);
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 97, x);
     emitter.Emit(x % 251, x + 1);
@@ -516,10 +565,11 @@ TEST(Shuffle, DeterministicAcrossThreadAndShardCounts) {
 }
 
 TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
-  std::vector<int> inputs(5000);
+  std::vector<int> inputs(10000);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 613);
   }
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
     emitter.Emit(x, x);
     emitter.Emit(x + 1000, 2 * x);
@@ -551,14 +601,12 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
       EXPECT_EQ(sharded.outputs, reference.outputs);
       EXPECT_EQ(sharded.metrics.pairs_before_combine,
                 reference.metrics.pairs_before_combine);
-      // pairs_shuffled depends on the chunking (per-chunk combining), which
-      // is fixed per thread count; at equal thread counts it must match.
-      if (threads == 1) {
-        EXPECT_EQ(sharded.metrics.pairs_shuffled,
-                  reference.metrics.pairs_shuffled);
-        EXPECT_EQ(sharded.metrics.bytes_shuffled,
-                  reference.metrics.bytes_shuffled);
-      }
+      // pairs_shuffled depends on the chunking (per-chunk combining),
+      // which follows the input size alone.
+      EXPECT_EQ(sharded.metrics.pairs_shuffled,
+                reference.metrics.pairs_shuffled);
+      EXPECT_EQ(sharded.metrics.bytes_shuffled,
+                reference.metrics.bytes_shuffled);
     }
   }
 }
@@ -620,17 +668,32 @@ const char* Name(KeyDist dist) {
   return "?";
 }
 
-/// Seed-deterministic random chunks: chunk count, chunk sizes (including
-/// empty chunks), and keys all drawn from `seed`.
+/// Fewest rows of a RandomChunks case: two map tasks' worth, so each case
+/// runs the cross-task merges (the scan-order merge of the sharded groups,
+/// the multi-source merge of the spilled runs). Cases stay close to it: a
+/// zero-budget external round writes one run file per row.
+constexpr std::size_t kPropertyMinRows = 2 * internal::kMinInputsPerChunk;
+
+/// Seed-deterministic random chunks: row count, chunk count, chunk
+/// boundaries (on a coarse grid, so empty chunks occur), and keys all drawn
+/// from `seed`.
 std::vector<std::vector<std::pair<std::uint64_t, int>>> RandomChunks(
     KeyDist dist, std::uint64_t seed) {
   common::SplitMix64 rng(seed);
   const common::ZipfDistribution zipf(64, 1.3);
+  const std::size_t rows =
+      kPropertyMinRows + rng.UniformBelow(internal::kMinInputsPerChunk / 4);
   const std::size_t num_chunks = 1 + rng.UniformBelow(8);
+  std::vector<std::size_t> cuts{0, rows};
+  for (std::size_t c = 1; c < num_chunks; ++c) {
+    cuts.push_back(rng.UniformBelow(9) * rows / 8);
+  }
+  std::sort(cuts.begin(), cuts.end());
   std::vector<std::vector<std::pair<std::uint64_t, int>>> chunks(num_chunks);
   int serial = 0;
-  for (auto& chunk : chunks) {
-    const std::size_t size = rng.UniformBelow(400);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    auto& chunk = chunks[c];
+    const std::size_t size = cuts[c + 1] - cuts[c];
     chunk.reserve(size);
     for (std::size_t i = 0; i < size; ++i) {
       std::uint64_t key = 0;
@@ -691,6 +754,7 @@ void ExpectRoundMatchesSerial(
   for (const auto& chunk : chunks) {
     inputs.insert(inputs.end(), chunk.begin(), chunk.end());
   }
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   const auto serial = SerialShuffle(chunks);
   auto result = RunMapReduce<Pair, Key, Value, Group>(
       inputs,

@@ -193,8 +193,9 @@ TEST(StagedRound, SimulationIdenticalAcrossSchedules) {
   // Simulation reports are a pure function of the (deterministic) shuffle
   // result, so the staged executor must reproduce them for every thread
   // count even though task completion order varies.
-  std::vector<std::uint64_t> inputs(5000);
+  std::vector<std::uint64_t> inputs(15000);
   std::iota(inputs.begin(), inputs.end(), 0);
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto run_with_threads = [&](std::size_t threads) {
     JobOptions options;
     options.num_threads = threads;

@@ -84,8 +84,10 @@ TEST(ShuffleConfigResolution, FieldWiseMergeOrder) {
 /// The fanout workload of the sharded-shuffle determinism tests: colliding
 /// keys, order-sensitive reduce fold.
 JobResult<std::pair<int, std::uint64_t>> FanoutJob(const JobOptions& options) {
-  std::vector<int> inputs(3000);
+  std::vector<int> inputs(9000);
   std::iota(inputs.begin(), inputs.end(), 0);
+  // Several map tasks, so the merge reads spilled runs from several sources.
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 97, x);
     emitter.Emit(x % 251, x + 1);
@@ -137,10 +139,11 @@ TEST(ExternalShuffleJob, IdenticalToInMemoryAcrossBudgetsAndThreads) {
 }
 
 TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
-  std::vector<int> inputs(8000);
+  std::vector<int> inputs(12000);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 613);
   }
+  EXPECT_GT(internal::NumChunks(inputs.size()), 1u);
   auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
     emitter.Emit(x, x);
     emitter.Emit(x + 1000, 2 * x);

@@ -586,6 +586,58 @@ TEST(BlockMerge, CorruptRunSurfacesStatusNotCrash) {
   EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
 }
 
+/// An in-memory run that counts the sources read from and not yet
+/// released, so a test can see how many runs a merge holds open at once.
+class CountingRunSource : public BlockRunSource {
+ public:
+  CountingRunSource(ColumnarRun run, std::size_t& live, std::size_t& peak)
+      : inner_(std::move(run)), live_(live), peak_(peak) {}
+  ~CountingRunSource() override {
+    if (opened_) --live_;
+  }
+
+  const RecordView* Peek() override {
+    if (!opened_) {
+      opened_ = true;
+      peak_ = std::max(peak_, ++live_);
+    }
+    return inner_.Peek();
+  }
+  void Advance() override { inner_.Advance(); }
+  common::Status status() const override { return inner_.status(); }
+
+ private:
+  MemoryBlockRunSource inner_;
+  std::size_t& live_;
+  std::size_t& peak_;
+  bool opened_ = false;
+};
+
+TEST(BlockMerge, FanInBoundsRunsHeldOpen) {
+  // A multi-pass merge releases each batch's runs once it is merged, so
+  // it never holds more than fan-in run files open: a round that spilled
+  // more runs than the process may open files still merges.
+  RunSpiller spiller(TestDir());
+  constexpr std::size_t kRuns = 100;
+  constexpr std::size_t kFanIn = 4;
+  std::size_t live = 0;
+  std::size_t peak = 0;
+  std::vector<std::unique_ptr<BlockRunSource>> sources;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    sources.push_back(std::make_unique<CountingRunSource>(
+        RunFromRecords({MakeRecord(i % 7, static_cast<int>(i), i)}), live,
+        peak));
+  }
+  SpillStats stats;
+  auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
+      std::move(sources), spiller, kFanIn, stats);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->keys.size(), 7u);
+  EXPECT_GT(stats.merge_passes, 1u);
+  EXPECT_EQ(peak, kFanIn);
+  EXPECT_EQ(live, 0u);
+}
+
 TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
   // The block merge, reordered by first-seen position, must reproduce the
   // serial reference shuffle exactly: same keys, same group contents, same
