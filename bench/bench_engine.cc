@@ -372,7 +372,7 @@ void BM_StreamingOverlap(benchmark::State& state) {
               });
 
   mrcost::engine::ExecutionOptions options;
-  options.pipeline.num_threads = 4;
+  options.pipeline.round_defaults.num_threads = 4;
   options.pipeline.round_defaults.num_shards = 8;
   options.streaming = streaming;
 

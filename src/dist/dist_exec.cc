@@ -124,11 +124,11 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     const std::size_t n = node.input_size(graph);
     MRCOST_CHECK(n != kUnknownSize);
     const std::size_t num_chunks = NumChunks(n);
-    // Shards follow the in-process rule, sized from the same sample.
+    // Shards follow the in-process rule, sized from the same sample and
+    // the same execution-wide thread count that sizes the in-process pool.
     const std::size_t num_shards = ResolveRoundShards(
-        node, graph, resolved.num_shards,
-        SampleRound(node, graph, resolved, options),
-        resolved.ResolvedThreads());
+        node, graph, resolved.num_shards, SampleRound(node, graph, resolved),
+        options.pipeline.round_defaults.ResolvedThreads());
     const std::size_t merge_fan_in = resolved.shuffle.merge_fan_in;
 
     // Wire transport: each reducer pulls one run per chunk, so its memory
@@ -151,8 +151,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     std::vector<std::string> chunk_paths(num_chunks);
     for (std::size_t c = 0; c < num_chunks; ++c) {
       chunk_paths[c] = round_prefix + "-c" + std::to_string(c) + ".chunk";
-      const std::size_t lo = c * n / num_chunks;
-      const std::size_t hi = (c + 1) * n / num_chunks;
+      const auto [lo, hi] = ChunkRange(n, num_chunks, c);
       MRCOST_CHECK_OK(node.dist->write_chunk(graph.slots[node.input], lo,
                                              hi, chunk_paths[c]));
     }

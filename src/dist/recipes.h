@@ -28,9 +28,10 @@ class PlanRegistry;
 ///   graph_sample       nodes=400,edges=3000,k=8,seed=5
 ///                                          triangle enumeration over G(n, m)
 ///   quickstart         (alias of hamming_splitting)
-///   shuffle_sweep      pairs=100000,keys=4096,seed=1
+///   shuffle_sweep      pairs=100000,keys=4096,seed=1,combine=0
 ///                                          synthetic sum-by-key shuffle used
-///                                          by bench_distd
+///                                          by bench_distd; combine=1 adds
+///                                          a map-side sum combiner
 void RegisterBuiltinRecipes(PlanRegistry& registry);
 
 /// "k=v,k=v" argument strings with typed defaulting accessors.

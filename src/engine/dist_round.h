@@ -205,28 +205,13 @@ DistRoundOps MakeDistRoundOps(
     outcome.blocks_emitted = emitter.blocks_emitted();
     outcome.bytes_copied = emitter.bytes_copied();
 
-    // Map-side combine: the same first-seen fold StagedRound::CombineBlock
-    // runs, so post-combine rows — and therefore spill positions — are
-    // identical to the in-process combined round.
+    // Map-side combine: the fold StagedRound::CombineBlock runs, so
+    // post-combine rows — and therefore spill positions — are identical
+    // to the in-process combined round.
     Block combined;
     Block* work = &emitted;
     if (combine_fn) {
-      storage::KeyIndex index;
-      index.Reserve(emitted.rows());
-      for (std::size_t r = 0; r < emitted.rows(); ++r) {
-        bool inserted = false;
-        const std::size_t g =
-            index.FindOrInsert(emitted.hash(r), emitted.key_bytes(r),
-                               inserted);
-        if (inserted) {
-          combined.AppendRaw(emitted.key_bytes(r), emitted.hash(r),
-                             std::move(emitted.value(r)));
-        } else {
-          combined.value(g) =
-              combine_fn(std::move(combined.value(g)),
-                         std::move(emitted.value(r)));
-        }
-      }
+      combined = storage::CombineFirstSeen(emitted, combine_fn);
       work = &combined;
       outcome.bytes_copied += combined.CopiedBytes();
       for (std::size_t r = 0; r < combined.rows(); ++r) {

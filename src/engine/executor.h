@@ -75,24 +75,28 @@ struct SpeculationConfig {
 /// Execution knobs for one round.
 struct JobOptions {
   /// Threads used to run map and reduce tasks. 0 = hardware concurrency.
-  /// Ignored when `pool` is set (the pool's size governs).
+  /// Ignored when `pool` is set (the pool's size governs). In a plan
+  /// execution only the round defaults may set it: it sizes the
+  /// execution's pool and both backends' shard counts.
   std::size_t num_threads = 0;
   /// Optional caller-owned thread pool. When set, the round runs on it
-  /// instead of constructing (and tearing down) a private pool — the
-  /// plan executor uses this to reuse one pool across every round.
+  /// instead of constructing (and tearing down) a private pool. In a plan
+  /// execution only the round defaults may set it, and every round runs
+  /// on it.
   common::ThreadPool* pool = nullptr;
   /// Shuffle shards. 0 = auto: one per thread, capped for small rounds
   /// when a pair estimate is available (the plan executor passes its
-  /// declared or sampled estimate; the eager entry points have none
-  /// before the map runs, so they size for a large round — tiny jobs pay
-  /// a few near-empty shard tasks rather than fan-out jobs losing their
+  /// declared or sampled estimate, so a round under ~8k estimated pairs
+  /// runs one shard; the eager entry points have none before the map
+  /// runs, so they size for a large round — tiny jobs pay a few
+  /// near-empty shard tasks rather than fan-out jobs losing their
   /// parallelism). 1 = group every key in one task. Ignored by the
   /// external shuffle.
   std::size_t num_shards = 0;
   /// Shuffle configuration (strategy, memory budget, spill dir, merge
-  /// fan-in) — the one ShuffleConfig shared with PipelineOptions; see its
-  /// comment for the field-wise resolution order. All strategies produce
-  /// byte-identical outputs; only memory behaviour and metrics differ.
+  /// fan-in); see ShuffleConfig for the field-wise resolution order. All
+  /// strategies produce byte-identical outputs; only memory behaviour and
+  /// metrics differ.
   ShuffleConfig shuffle;
   /// Full cluster-simulation knobs (per-worker queues, capacity q,
   /// stragglers, heterogeneous speeds). When enabled, JobMetrics gains
@@ -353,6 +357,17 @@ inline constexpr std::size_t kMaxChunks = 16;
 inline std::size_t NumChunks(std::size_t num_inputs) {
   return std::max<std::size_t>(
       1, std::min(kMaxChunks, num_inputs / kMinInputsPerChunk));
+}
+
+/// Chunk `c`'s input range [lo, hi) out of `num_chunks` chunks of
+/// ceil(n / num_chunks) inputs. Both backends cut here, so a combined
+/// round folds the same rows per chunk in-process and multi-process.
+inline std::pair<std::size_t, std::size_t> ChunkRange(std::size_t n,
+                                                      std::size_t num_chunks,
+                                                      std::size_t c) {
+  const std::size_t size = (n + num_chunks - 1) / num_chunks;
+  const std::size_t lo = std::min(n, c * size);
+  return {lo, std::min(n, lo + size)};
 }
 
 /// Scan-order tag carried by every routed pair. Lexicographic (major,
@@ -640,6 +655,9 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 
   void BuildMaterialized();
   void BuildStreamed(StreamSource<In>* upstream);
+  /// Fixes the in-memory shard count and placement before any pair
+  /// exists, and sizes the per-map-task blocks and shard row lists.
+  void SizeInMemoryShards();
   void StageGroupAndReduce();
 
   void MapChunk(std::size_t c, std::size_t lo, std::size_t hi);
@@ -771,16 +789,6 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
   const std::size_t n = inputs_->size();
   num_map_tasks_ = NumChunks(n);
   result_.metrics.num_inputs = n;
-  if (strategy_ != ShuffleStrategy::kExternal) {
-    num_shards_ = strategy_ == ShuffleStrategy::kSerial
-                      ? 1
-                      : ResolveShardCount(options_.num_shards,
-                                          exec_.pool().num_threads(),
-                                          static_cast<std::size_t>(-1));
-    use_range_ =
-        options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
-        num_shards_ > 1;
-  }
   task_pairs_.assign(num_map_tasks_, 0);
   task_raw_pairs_.assign(num_map_tasks_, 0);
   task_bytes_.assign(num_map_tasks_, 0);
@@ -792,18 +800,13 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
     spill_status_.assign(num_map_tasks_, common::Status::Ok());
     tails_.resize(num_map_tasks_);
   } else {
-    blocks_.resize(num_map_tasks_);
-    shard_rows_.resize(num_map_tasks_);
-    for (auto& rows : shard_rows_) rows.resize(num_shards_);
+    SizeInMemoryShards();
   }
 
-  const std::size_t chunk_size =
-      n == 0 ? 0 : (n + num_map_tasks_ - 1) / num_map_tasks_;
   map_tasks_.reserve(num_map_tasks_);
   auto self = self_.lock();
   for (std::size_t c = 0; c < num_map_tasks_; ++c) {
-    const std::size_t lo = std::min(n, c * chunk_size);
-    const std::size_t hi = std::min(n, lo + chunk_size);
+    const auto [lo, hi] = ChunkRange(n, num_map_tasks_, c);
     map_tasks_.push_back(exec_.AddTask(
         StageKind::kMap, round_tag_, {},
         [self, c, lo, hi] { self->MapChunk(c, lo, hi); },
@@ -822,23 +825,13 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
   streamed_input_ = true;
   upstream_ = upstream;
   num_map_tasks_ = std::max<std::size_t>(1, upstream->stream_block_count());
-  num_shards_ = strategy_ == ShuffleStrategy::kSerial
-                    ? 1
-                    : ResolveShardCount(options_.num_shards,
-                                        exec_.pool().num_threads(),
-                                        static_cast<std::size_t>(-1));
-  use_range_ =
-      options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
-      num_shards_ > 1;
+  SizeInMemoryShards();
   task_pairs_.assign(num_map_tasks_, 0);
   task_raw_pairs_.assign(num_map_tasks_, 0);
   task_bytes_.assign(num_map_tasks_, 0);
   task_inputs_.assign(num_map_tasks_, 0);
   task_blocks_.assign(num_map_tasks_, 0);
   task_copied_.assign(num_map_tasks_, 0);
-  blocks_.resize(num_map_tasks_);
-  shard_rows_.resize(num_map_tasks_);
-  for (auto& rows : shard_rows_) rows.resize(num_shards_);
   tag_pos_.resize(num_map_tasks_);
 
   const TaskId ranks = upstream->stream_ranks_task();
@@ -860,6 +853,21 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
                                        "MapPartition"));
   }
   StageGroupAndReduce();
+}
+
+template <typename In, typename K, typename V, typename Out, typename MapFn,
+          typename CombineFn, typename ReduceFn>
+void StagedRound<In, K, V, Out, MapFn, CombineFn,
+                 ReduceFn>::SizeInMemoryShards() {
+  num_shards_ = ResolveShardCount(options_.num_shards,
+                                  exec_.pool().num_threads(),
+                                  static_cast<std::size_t>(-1));
+  use_range_ =
+      options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
+      num_shards_ > 1;
+  blocks_.resize(num_map_tasks_);
+  shard_rows_.assign(num_map_tasks_,
+                     std::vector<std::vector<std::uint32_t>>(num_shards_));
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
@@ -935,27 +943,11 @@ template <typename In, typename K, typename V, typename Out, typename MapFn,
 auto StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::CombineBlock(
     Block& in, std::uint64_t& bytes, std::vector<std::uint64_t>* row_bytes)
     -> std::unique_ptr<Block> {
-  // Map-side combine, first-seen key order within the chunk — the same
-  // fold the barrier engine ran, so post-combine rows (and their bytes,
-  // re-measured on what actually crosses the shuffle) are identical. Keys
-  // dedup on serialized bytes (serde is injective), so no key object is
-  // ever rebuilt: inserts re-append the raw key slab bytes and duplicates
-  // fold into the already-typed value column.
+  // Map-side combine within the chunk (storage::CombineFirstSeen); bytes
+  // are re-measured on what actually crosses the shuffle.
   auto out = std::make_unique<Block>();
   if constexpr (kCombined) {
-    storage::KeyIndex index;
-    index.Reserve(in.rows());
-    for (std::size_t r = 0; r < in.rows(); ++r) {
-      bool inserted = false;
-      const std::size_t g =
-          index.FindOrInsert(in.hash(r), in.key_bytes(r), inserted);
-      if (inserted) {
-        out->AppendRaw(in.key_bytes(r), in.hash(r), std::move(in.value(r)));
-      } else {
-        out->value(g) = combine_(std::move(out->value(g)),
-                                 std::move(in.value(r)));
-      }
-    }
+    *out = storage::CombineFirstSeen(in, combine_);
     bytes = 0;
     if (row_bytes != nullptr) row_bytes->reserve(out->rows());
     for (std::size_t r = 0; r < out->rows(); ++r) {
@@ -1565,10 +1557,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
     event.round = round_tag_;
     event.t_start_us = to_trace_us(begin_ms);
     event.t_end_us = to_trace_us(exec_.NowMs());
-    event.args.push_back(obs::Arg(
-        "strategy", strategy_ == ShuffleStrategy::kExternal ? "external"
-                    : strategy_ == ShuffleStrategy::kSerial ? "serial"
-                                                            : "sharded"));
+    event.args.push_back(obs::Arg("strategy", ToString(strategy_)));
     event.args.push_back(
         obs::Arg("shards", static_cast<std::uint64_t>(num_shards_)));
     event.args.push_back(obs::Arg("pairs", m.pairs_shuffled));

@@ -42,7 +42,7 @@ namespace mrcost::engine {
 //                         (src/engine/executor.h), byte-identical to the
 //                         eager RunMapReduce for every shuffle strategy,
 //                         with a per-round strategy chooser
-//                         (serial/sharded/external from estimated
+//                         (sharded/external from estimated
 //                         intermediate bytes vs budget). Rounds whose
 //                         stage declares a per-key input dependency
 //                         (WithPerKeyInput) stream: round k's reduce
@@ -203,47 +203,26 @@ struct DistOptions {
 
 /// Execution-wide knobs of a multi-round plan (ExecutionOptions::pipeline).
 struct PipelineOptions {
-  /// Pool size when the execution owns its pool. 0 = hardware concurrency.
-  std::size_t num_threads = 0;
-  /// Optional external pool; when set the execution does not construct
-  /// one.
-  common::ThreadPool* pool = nullptr;
-  /// Defaults applied to every round (num_shards, shuffle config,
-  /// simulation knobs). A round's own JobOptions
-  /// (KeyedDataset::WithOptions) is merged over these defaults field-wise
-  /// (MergedJobOptions): fields the round leaves unset inherit the
-  /// default — a round overriding only `num_shards` still runs under the
-  /// defaults' memory budget. In-process, every round runs on the
-  /// execution's shared pool whatever its own pool field says.
+  /// The one home of every execution setting. Its `pool` (else a pool of
+  /// `num_threads`, 0 = hardware concurrency) runs every round, and its
+  /// thread count sizes shards on both backends. Its other fields
+  /// (num_shards, shuffle config, simulation, speculation) are defaults:
+  /// a round's own JobOptions (KeyedDataset::WithOptions) is merged over
+  /// them field-wise (MergedJobOptions), so a round overriding only
+  /// `num_shards` still runs under the defaults' memory budget. A round
+  /// may not set its own `num_threads` or `pool`.
   JobOptions round_defaults;
-  /// Execution-wide cluster simulation: applied to any round whose own
-  /// options leave simulation off, so one knob simulates every round of a
-  /// multi-round computation under the same cluster.
-  SimulationOptions simulation;
-  /// Execution-wide shuffle backstop, mirroring `simulation`: any shuffle
-  /// field a round (and the round defaults) leaves unset inherits this
-  /// config field-wise, so one setting runs every round of a multi-round
-  /// computation under the same external-shuffle budget. See
-  /// ShuffleConfig's comment for the full resolution order.
-  ShuffleConfig shuffle;
 };
 
 /// Knobs for Plan::Execute / ExecuteAsync.
 struct ExecutionOptions {
-  /// Thread sizing, round defaults, simulation, and the execution-wide
-  /// shuffle backstop; ResolveRoundOptions merges them into each round's
-  /// JobOptions.
+  /// Thread sizing and round defaults; ResolveRoundOptions merges them
+  /// into each round's JobOptions. A strategy or partitioner still kAuto
+  /// after the merge is chosen per round from a map-function sample of the
+  /// round's materialized input (ChooseStrategy, ChoosePartitioner), so
+  /// only rounds estimated over the memory budget pay the spill path.
+  /// Outputs are byte-identical for every choice.
   PipelineOptions pipeline;
-  /// Per-round strategy chooser: a round whose resolved shuffle strategy
-  /// is still kAuto gets serial/sharded/external picked from its
-  /// estimated intermediate bytes vs the memory budget (sampling the map
-  /// function over `strategy_sample_inputs` of the round's actual,
-  /// materialized inputs). Replaces the eager path's all-or-nothing
-  /// budget=>external rule: only rounds estimated over budget pay the
-  /// spill path. Outputs are byte-identical for every choice; only memory
-  /// behaviour and spill metrics differ.
-  bool choose_strategy_per_round = true;
-  std::size_t strategy_sample_inputs = 256;
   /// Dissolve the barrier between consecutive rounds whose consumer stage
   /// declared a per-key input dependency (WithPerKeyInput): the producer's
   /// per-shard reduce outputs stream into the consumer's map tasks as
@@ -279,14 +258,10 @@ struct ExecutionOptions {
   DistOptions dist;
 
   ExecutionOptions() = default;
-  explicit ExecutionOptions(PipelineOptions options)
-      : pipeline(std::move(options)) {}
   /// A plan execution matching one round's JobOptions (pool or thread
   /// count, shard count, shuffle, simulation) — what the family drivers
   /// construct from their caller-facing options argument.
   explicit ExecutionOptions(const JobOptions& round_defaults) {
-    pipeline.num_threads = round_defaults.num_threads;
-    pipeline.pool = round_defaults.pool;
     pipeline.round_defaults = round_defaults;
   }
 };
@@ -419,12 +394,14 @@ MapSample SampleMapFanout(
 
 /// Resolves the JobOptions one round executes with — the one place that
 /// decides the option-merge order: per-round overrides merged over the
-/// execution's round defaults, then the execution-wide shuffle and
-/// simulation backstops. The strategy chooser sees this merged view.
+/// execution's round defaults. The strategy chooser sees this merged
+/// view. A round setting its own `num_threads` or `pool` fails loudly:
+/// the execution's pool runs every round, so the setting would be
+/// silently ignored in-process.
 JobOptions ResolveRoundOptions(const PlanNode& node,
                                const ExecutionOptions& options);
 
-/// The per-round strategy chooser (see ExecutionOptions).
+/// The per-round strategy chooser (see ExecutionOptions::pipeline).
 ShuffleStrategy ChooseStrategy(const ShuffleConfig& config,
                                const MapSample& sample,
                                std::size_t num_inputs);
@@ -437,12 +414,11 @@ PartitionerKind ChoosePartitioner(const ShuffleConfig& config,
                                   const MapSample& sample);
 
 /// The map sample a round over a materialized input is decided from:
-/// drawn when the per-round chooser is on and the round leaves its
-/// strategy or partitioner to it, invalid otherwise. Both backends draw
-/// the same one, so shard sizing agrees between them.
+/// drawn when the round leaves its strategy or partitioner to the
+/// chooser, invalid otherwise. Both backends and Explain draw the same
+/// one, so shard sizing agrees between them.
 MapSample SampleRound(const PlanNode& node, const PlanGraph& graph,
-                      const JobOptions& resolved,
-                      const ExecutionOptions& options);
+                      const JobOptions& resolved);
 
 /// The reduce shard count of a round over a materialized input, one rule
 /// for both backends (ExecutePlanGraph and ExecutePlanGraphMulti). An
@@ -507,7 +483,8 @@ class KeyedDataset {
   }
 
   /// Per-round execution overrides, merged field-wise over the
-  /// execution's round defaults (MergedJobOptions).
+  /// execution's round defaults (MergedJobOptions). `num_threads` and
+  /// `pool` belong to the execution; Execute rejects a round setting them.
   KeyedDataset WithOptions(JobOptions options) const {
     KeyedDataset copy = *this;
     copy.options_ = std::move(options);

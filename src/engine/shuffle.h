@@ -21,14 +21,14 @@ namespace mrcost::engine {
 
 /// How a round's shuffle is executed.
 ///   kAuto     — kExternal when a memory budget is set, else kSharded.
-///   kSerial   — the in-memory shuffle on a single shard (one group task).
-///   kSharded  — radix-partitioned parallel in-memory shuffle.
+///   kSharded  — radix-partitioned parallel in-memory shuffle; with
+///               num_shards = 1 every key groups in one task.
 ///   kExternal — spill-to-disk shuffle: map-side batches over the memory
 ///               budget are sorted and spilled as runs, then k-way merged
 ///               back into groups. The only strategy that can run rounds
 ///               whose intermediate data exceeds RAM.
 /// All strategies produce byte-identical ShuffleResults.
-enum class ShuffleStrategy { kAuto = 0, kSerial, kSharded, kExternal };
+enum class ShuffleStrategy { kAuto = 0, kSharded, kExternal };
 
 const char* ToString(ShuffleStrategy strategy);
 
@@ -48,12 +48,12 @@ enum class PartitionerKind { kAuto = 0, kHash, kSampledRange };
 
 const char* ToString(PartitionerKind kind);
 
-/// The one shuffle-configuration struct, shared by JobOptions (one round)
-/// and PipelineOptions (a plan execution). Resolution order, applied
+/// The one shuffle-configuration struct of JobOptions: a round's own, or
+/// the round defaults of a plan execution. Resolution order, applied
 /// field-wise — each field's zero value (kAuto / 0 / "") means "unset":
 ///   1. explicit per-round settings (JobOptions::shuffle) win;
-///   2. fields still unset inherit the round defaults and then the
-///      execution-wide config (ExecutionOptions::pipeline.shuffle) via
+///   2. fields still unset inherit the execution's round defaults
+///      (ExecutionOptions::pipeline.round_defaults.shuffle) via
 ///      MergedOver;
 ///   3. a still-kAuto strategy resolves through Resolved(): kExternal when
 ///      a memory budget is set, else kSharded. The plan executor's
@@ -79,7 +79,7 @@ struct ShuffleConfig {
   /// How pairs are placed onto shards. kAuto lets the plan chooser pick
   /// from its map-fn sample (skewed keys => kSampledRange) and otherwise
   /// behaves as kHash. Ignored by the external shuffle (its placement is
-  /// the sorted merge order) and by the one-shard serial path.
+  /// the sorted merge order) and by a one-shard round.
   PartitionerKind partitioner = PartitionerKind::kAuto;
 
   /// True when any field was moved off its unset value.

@@ -432,6 +432,32 @@ class KVBlock {
   std::vector<Value> values_;
 };
 
+/// Map-side combine: folds `in`'s rows into one row per distinct key, in
+/// first-seen key order, each key's values folded in emission order by
+/// `combine(acc, next)`. Keys dedup on serialized bytes (serde is
+/// injective), so no key object is ever rebuilt: a new key re-appends its
+/// raw slab bytes and a repeat folds into the already-typed value. Moves
+/// from `in`'s values. Both backends combine through here, so their
+/// post-combine rows (and spill positions) are identical.
+template <typename Key, typename Value, typename Combine>
+KVBlock<Key, Value> CombineFirstSeen(KVBlock<Key, Value>& in,
+                                     Combine&& combine) {
+  KVBlock<Key, Value> out;
+  KeyIndex index;
+  index.Reserve(in.rows());
+  for (std::size_t r = 0; r < in.rows(); ++r) {
+    bool inserted = false;
+    const std::size_t g =
+        index.FindOrInsert(in.hash(r), in.key_bytes(r), inserted);
+    if (inserted) {
+      out.AppendRaw(in.key_bytes(r), in.hash(r), std::move(in.value(r)));
+    } else {
+      out.value(g) = combine(std::move(out.value(g)), std::move(in.value(r)));
+    }
+  }
+  return out;
+}
+
 /// Reorders `rows` — ascending row indices of `block`, any subset — into
 /// spill order: (hash, key bytes, row), row order being emission (pos)
 /// order. Groups instead of comparison-sorting every row: one KeyIndex

@@ -700,7 +700,7 @@ TEST(DistBackend, GraphSampleByteIdentical) {
 
 TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
   // The multi-process output must match the in-process output under every
-  // explicit shuffle strategy, not just the chooser's pick.
+  // explicit shuffle shape, not just the chooser's pick.
   auto& registry = dist::PlanRegistry::Global();
   const std::string args = "pairs=5000,keys=97,seed=3";
   const auto outputs = [&](const engine::ExecutionOptions& options) {
@@ -716,13 +716,51 @@ TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
   };
 
   const std::string multi = outputs(MultiProcessOptions(2));
-  for (const engine::ShuffleStrategy strategy :
-       {engine::ShuffleStrategy::kSerial, engine::ShuffleStrategy::kSharded,
-        engine::ShuffleStrategy::kExternal}) {
+  struct Shape {
+    const char* name;
+    engine::ShuffleStrategy strategy;
+    std::size_t num_shards;
+  };
+  for (const Shape& shape :
+       {Shape{"one-shard", engine::ShuffleStrategy::kSharded, 1},
+        Shape{"sharded", engine::ShuffleStrategy::kSharded, 0},
+        Shape{"external", engine::ShuffleStrategy::kExternal, 0}}) {
     engine::ExecutionOptions options;
-    options.pipeline.round_defaults.shuffle.strategy = strategy;
-    EXPECT_EQ(outputs(options), multi)
-        << "strategy " << static_cast<int>(strategy);
+    options.pipeline.round_defaults.shuffle.strategy = shape.strategy;
+    options.pipeline.round_defaults.num_shards = shape.num_shards;
+    EXPECT_EQ(outputs(options), multi) << shape.name;
+  }
+}
+
+TEST(DistBackend, CombinedSweepAgreesWithInProcess) {
+  // A combined round folds once per map chunk, so both backends must cut
+  // the same chunks: 70,001 rows in 16 chunks that do not divide them.
+  // Outputs and the post-combine pair count must match in-process.
+  auto& registry = dist::PlanRegistry::Global();
+  const std::string args = "pairs=70001,keys=4096,seed=3,combine=1";
+  const auto run = [&](const engine::ExecutionOptions& options) {
+    auto plan = registry.Build("shuffle_sweep", args);
+    MRCOST_CHECK_OK(plan.status());
+    const engine::PipelineMetrics metrics = plan->Execute(options);
+    auto slot = std::static_pointer_cast<
+        std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
+        plan->graph()->slots.back());
+    return std::make_pair(SerializedBytes(*slot),
+                          metrics.rounds.at(0).pairs_shuffled);
+  };
+
+  const auto reference = run({});
+  ASSERT_LT(reference.second, 70001u);  // the combiner folded
+  for (const engine::ShuffleTransport transport :
+       {engine::ShuffleTransport::kSpillFiles,
+        engine::ShuffleTransport::kWireStream}) {
+    engine::ExecutionOptions options = MultiProcessOptions(2);
+    options.dist.shuffle_transport = transport;
+    const auto multi = run(options);
+    const char* name =
+        transport == engine::ShuffleTransport::kWireStream ? "wire" : "spill";
+    EXPECT_EQ(multi.first, reference.first) << name;
+    EXPECT_EQ(multi.second, reference.second) << name;
   }
 }
 
@@ -759,29 +797,38 @@ SweepShape TracedSweepShape(engine::ExecutionOptions options) {
 }
 
 TEST(DistBackend, ShardCountMatchesInProcess) {
-  // Both backends size a round's shards by one rule: with 4 threads
-  // pinned and ~200k sampled pairs, 4 shards. A multi-process round used
-  // to read its missing replication hint as "zero pairs" and run every
-  // reducer in one reduce task.
+  // Both backends size a round's shards by one rule from one thread
+  // count: with ~200k sampled pairs, one shard per thread. A
+  // multi-process round used to read its missing replication hint as
+  // "zero pairs" and run every reducer in one reduce task. The thread
+  // count has one home, the round defaults, and must reach both backends
+  // whether set through the JobOptions constructor or on its own.
   engine::JobOptions pinned;
   pinned.num_threads = 4;
-  const SweepShape in_process =
-      TracedSweepShape(engine::ExecutionOptions(pinned));
-  ASSERT_EQ(in_process.round_shards, 4u);
-  ASSERT_EQ(in_process.reduce_spans, 0u);
+  engine::ExecutionOptions field_only;
+  field_only.pipeline.round_defaults.num_threads = 3;
+  const std::pair<engine::ExecutionOptions, std::uint64_t> cases[] = {
+      {engine::ExecutionOptions(pinned), 4}, {field_only, 3}};
+  for (const auto& [base, threads] : cases) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SweepShape in_process = TracedSweepShape(base);
+    EXPECT_EQ(in_process.round_shards, threads);
+    EXPECT_EQ(in_process.reduce_spans, 0u);
 
-  for (const engine::ShuffleTransport transport :
-       {engine::ShuffleTransport::kSpillFiles,
-        engine::ShuffleTransport::kWireStream}) {
-    engine::ExecutionOptions options(pinned);
-    options.backend = engine::ExecutionBackend::kMultiProcess;
-    options.dist.num_workers = 2;
-    options.dist.shuffle_transport = transport;
-    const SweepShape multi = TracedSweepShape(options);
-    const char* name =
-        transport == engine::ShuffleTransport::kWireStream ? "wire" : "spill";
-    EXPECT_EQ(multi.round_shards, in_process.round_shards) << name;
-    EXPECT_EQ(multi.reduce_spans, in_process.round_shards) << name;
+    for (const engine::ShuffleTransport transport :
+         {engine::ShuffleTransport::kSpillFiles,
+          engine::ShuffleTransport::kWireStream}) {
+      engine::ExecutionOptions options = base;
+      options.backend = engine::ExecutionBackend::kMultiProcess;
+      options.dist.num_workers = 2;
+      options.dist.shuffle_transport = transport;
+      const SweepShape multi = TracedSweepShape(options);
+      const char* name = transport == engine::ShuffleTransport::kWireStream
+                             ? "wire"
+                             : "spill";
+      EXPECT_EQ(multi.round_shards, threads) << name;
+      EXPECT_EQ(multi.reduce_spans, threads) << name;
+    }
   }
 }
 

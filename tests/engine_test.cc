@@ -1208,12 +1208,12 @@ std::vector<int> Iota(std::size_t n) {
 }
 
 TEST(Simulator, ExecutionWideSimulationAndCostReports) {
-  // An execution-wide SimulationOptions must reach every round, surface
+  // The round defaults' SimulationOptions must reach every round, surface
   // in PipelineMetrics aggregates, and ride along in CompareToLowerBound's
   // per-round reports.
   ExecutionOptions options;
-  options.pipeline.simulation.num_workers = 4;
-  options.pipeline.simulation.reducer_capacity_q = 5;
+  options.pipeline.round_defaults.simulation.num_workers = 4;
+  options.pipeline.round_defaults.simulation.reducer_capacity_q = 5;
   // 10 keys x 10 values in round 1 violate q = 5.
   const auto run = SumThenRegroupByParity(Iota(100), 10).Execute(options);
 
@@ -1300,7 +1300,7 @@ TEST(MultiRound, CallerPoolAndPerRoundOptions) {
   pool.Wait();
 
   ExecutionOptions options;
-  options.pipeline.pool = &pool;
+  options.pipeline.round_defaults.pool = &pool;
   JobOptions round;
   round.simulation.num_workers = 3;
   std::set<std::thread::id> reduce_ids;
@@ -1334,11 +1334,12 @@ TEST(MultiRound, RoundDefaultsMergeFieldWise) {
   // The historical footgun: per-round options used to replace the
   // defaults wholesale, so a round overriding only num_shards silently
   // dropped the execution's memory budget. MergedJobOptions inherits
-  // every unset field instead — the round below must still spill.
+  // every unset field instead — the round below must still spill (its
+  // 4,000-pair intermediate is far over the inherited 1 KiB budget, so
+  // the strategy chooser sends it external).
   ExecutionOptions options;
   options.pipeline.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
   options.pipeline.round_defaults.simulation.num_workers = 4;
-  options.choose_strategy_per_round = false;  // budget => external
   JobOptions round;
   round.num_shards = 2;  // the only field the round overrides
   const auto run =
@@ -1351,13 +1352,20 @@ TEST(MultiRound, RoundDefaultsMergeFieldWise) {
   // ...and the defaults' simulation reached it too.
   EXPECT_EQ(m.worker_loads.count(), 4);
 
-  // The execution-wide shuffle backstop composes field-wise as well: a
-  // round forcing only the strategy still inherits the backstop budget.
+  // The merge itself, field by field.
   JobOptions merged =
       MergedJobOptions(round, options.pipeline.round_defaults);
   EXPECT_EQ(merged.num_shards, 2u);
   EXPECT_EQ(merged.shuffle.memory_budget_bytes, std::uint64_t{1} << 10);
   EXPECT_EQ(merged.simulation.num_workers, 4u);
+
+  // Threads and pool belong to the execution: a round setting its own is
+  // a misconfiguration the executor rejects rather than ignores.
+  JobOptions threaded;
+  threaded.num_threads = 2;
+  EXPECT_DEATH(SumThenRegroupByParity(Iota(100), 10, threaded)
+                   .Execute(options),
+               "MRCOST_CHECK failed");
 }
 
 // ------------------------------------------- shuffle-config resolution
@@ -1433,12 +1441,12 @@ TEST(ShuffleConfigResolution, UnsetInheritsEverythingAndZeroStaysZero) {
   EXPECT_FALSE(untouched.configured());
 }
 
-TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
-  // The full chain the plan executor (ResolveRoundOptions) applies:
-  // per-round fields win, then the round defaults, then the
-  // execution-wide backstop — field by field, not wholesale.
+TEST(ShuffleConfigResolution, ChainedMergesResolveFieldByField) {
+  // MergedOver chains: the nearer config wins each field it sets, the
+  // next one fills the fields still unset — field by field, not
+  // wholesale.
   ShuffleConfig backstop;
-  backstop.strategy = ShuffleStrategy::kSerial;
+  backstop.strategy = ShuffleStrategy::kSharded;
   backstop.memory_budget_bytes = 1 << 22;
   backstop.spill_dir = "/tmp/mrcost-backstop-spill";
   backstop.merge_fan_in = 64;
@@ -1465,8 +1473,8 @@ TEST(ShuffleConfigResolution, ResolvedStrategyFollowsBudget) {
   EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSharded);
   config.memory_budget_bytes = 1;
   EXPECT_EQ(config.Resolved(), ShuffleStrategy::kExternal);
-  config.strategy = ShuffleStrategy::kSerial;  // explicit beats the rule
-  EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSerial);
+  config.strategy = ShuffleStrategy::kSharded;  // explicit beats the rule
+  EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSharded);
 }
 
 TEST(MultiRound, CombinedRound) {

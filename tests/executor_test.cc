@@ -121,17 +121,17 @@ TEST(StagedRound, ByteIdenticalAcrossStrategiesThreadsAndShards) {
 
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference =
       RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
                    std::pair<std::uint64_t, std::uint64_t>>(
           inputs, FoldJob::Map, FoldJob::Reduce, serial);
 
   for (std::size_t threads : {1u, 2u, 4u}) {
+    // shards = 1 is the one-shard in-memory shuffle.
     for (std::size_t shards : {0u, 1u, 3u, 8u}) {
       for (ShuffleStrategy strategy :
-           {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-            ShuffleStrategy::kExternal}) {
+           {ShuffleStrategy::kSharded, ShuffleStrategy::kExternal}) {
         JobOptions options;
         options.num_threads = threads;
         options.num_shards = shards;
@@ -385,7 +385,7 @@ TEST(StagedRound, SpeculationPreservesOutputsAndReportsStats) {
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference =
       RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
                    std::pair<std::uint64_t, std::uint64_t>>(

@@ -41,9 +41,9 @@ TEST(ShuffleStrategyResolution, AutoFollowsBudget) {
   EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kExternal);
   options.shuffle.strategy = ShuffleStrategy::kSharded;
   EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kSharded);
-  options.shuffle.strategy = ShuffleStrategy::kSerial;
+  options.shuffle.strategy = ShuffleStrategy::kExternal;
   options.shuffle.memory_budget_bytes = 0;
-  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kSerial);
+  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kExternal);
   EXPECT_STREQ(ToString(ShuffleStrategy::kExternal), "external");
 }
 
@@ -192,12 +192,14 @@ TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
 }
 
 TEST(ExternalShufflePlan, BackstopReachesEveryRoundAndReports) {
-  // ExecutionOptions::pipeline.shuffle is the execution-wide backstop:
-  // with the per-round chooser off, its budget alone must send every
-  // round of the plan through the external shuffle.
+  // The round defaults' shuffle config reaches every round of the plan:
+  // with the strategy and partitioner pinned (no per-round choice), every
+  // round runs the external shuffle under the defaults' budget.
   ExecutionOptions options;
-  options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
-  options.choose_strategy_per_round = false;
+  ShuffleConfig& shuffle = options.pipeline.round_defaults.shuffle;
+  shuffle.memory_budget_bytes = 1 << 10;
+  shuffle.strategy = ShuffleStrategy::kExternal;
+  shuffle.partitioner = PartitionerKind::kHash;
   std::vector<int> inputs(4000);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto sum = [](const int& key, const auto& values,

@@ -4,11 +4,13 @@
 // runs byte-identically to the eager RunMapReduce entry points for every
 // shuffle strategy — verified here on a synthetic round (plan vs eager,
 // metrics compared field by field) and on all four problem-family drivers
-// across {serial, sharded, external} x seeds.
+// across {one-shard, sharded, external} x seeds.
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/temp_dir.h"
 #include "src/engine/job.h"
 #include "src/engine/partitioner.h"
 #include "src/engine/plan.h"
@@ -32,6 +35,7 @@
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
 #include "src/matmul/problem.h"
+#include "src/obs/export.h"
 
 namespace mrcost::engine {
 namespace {
@@ -57,6 +61,28 @@ void ExpectSameMetrics(const JobMetrics& a, const JobMetrics& b) {
   EXPECT_EQ(a.spill_runs, b.spill_runs);
   EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
   EXPECT_EQ(a.merge_passes, b.merge_passes);
+}
+
+/// One point of every byte-identity sweep: the in-memory shuffle on one
+/// shard, the in-memory shuffle on auto shards, or the external shuffle
+/// under a tight budget so it really spills.
+struct ShuffleShape {
+  const char* name;
+  JobOptions options;
+};
+
+std::vector<ShuffleShape> ShuffleShapes() {
+  JobOptions one_shard;
+  one_shard.shuffle.strategy = ShuffleStrategy::kSharded;
+  one_shard.num_shards = 1;
+  JobOptions sharded;
+  sharded.shuffle.strategy = ShuffleStrategy::kSharded;
+  JobOptions external;
+  external.shuffle.strategy = ShuffleStrategy::kExternal;
+  external.shuffle.memory_budget_bytes = 1 << 12;
+  return {{"one-shard", one_shard},
+          {"sharded", sharded},
+          {"external", external}};
 }
 
 // --------------------------------------------------------------- laziness
@@ -142,16 +168,10 @@ struct SyntheticJob {
 
 TEST(Plan, ExecuteMatchesEagerRoundForEveryStrategy) {
   SyntheticJob job;
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-        ShuffleStrategy::kExternal}) {
-    SCOPED_TRACE(ToString(strategy));
-    JobOptions options;
+  for (const ShuffleShape& shape : ShuffleShapes()) {
+    SCOPED_TRACE(shape.name);
+    JobOptions options = shape.options;
     options.num_threads = 2;
-    options.shuffle.strategy = strategy;
-    if (strategy == ShuffleStrategy::kExternal) {
-      options.shuffle.memory_budget_bytes = 1 << 12;
-    }
 
     // Eager path: one RunMapReduce round under the same options.
     auto eager = RunMapReduce<int, int, std::uint64_t,
@@ -170,7 +190,7 @@ TEST(Plan, ExecuteMatchesEagerRoundForEveryStrategy) {
     ASSERT_EQ(run.metrics.rounds.size(), 1u);
     ExpectSameMetrics(run.metrics.rounds[0], eager.metrics);
     ASSERT_EQ(run.round_strategies.size(), 1u);
-    EXPECT_EQ(run.round_strategies[0], strategy);
+    EXPECT_EQ(run.round_strategies[0], options.shuffle.strategy);
   }
 }
 
@@ -297,10 +317,10 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   // external rule would run both rounds externally.)
   std::vector<int> inputs(20000);
   std::iota(inputs.begin(), inputs.end(), 0);
-  PipelineOptions pipeline_options;
+  JobOptions budget;
   // Round 1's intermediate is ~940 KiB, round 2's ~64 KiB; the budget sits
   // between them with room for the chooser's 2x in-memory headroom.
-  pipeline_options.shuffle.memory_budget_bytes = 384 << 10;
+  budget.shuffle.memory_budget_bytes = 384 << 10;
 
   Plan plan;
   auto round1 = plan.Source(std::move(inputs))
@@ -339,7 +359,7 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
                 out.emplace_back(key, sum);
               });
 
-  auto run = round2.Execute(ExecutionOptions(pipeline_options));
+  auto run = round2.Execute(ExecutionOptions(budget));
   ASSERT_EQ(run.metrics.rounds.size(), 2u);
   EXPECT_TRUE(run.metrics.rounds[0].external_shuffle());
   EXPECT_GT(run.metrics.rounds[0].spill_runs, 0u);
@@ -353,10 +373,34 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   EXPECT_EQ(run.outputs, reference.outputs);
 }
 
-TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
-  // A tiny round would be downgraded to the serial shuffle by the
-  // chooser, but an explicit num_shards request asks for the sharded
-  // code path and must keep it.
+/// Executes `target` with tracing on and returns its outputs plus the
+/// `shards` arg of the (single) Round span: the shard count that ran.
+template <typename T>
+std::pair<std::vector<T>, std::uint64_t> RunTracingShards(
+    Dataset<T> target, ExecutionOptions options) {
+  auto dir = common::TempDir::Create();
+  MRCOST_CHECK_OK(dir.status());
+  options.trace_out = dir->path() + "/trace.json";
+  auto run = target.Execute(options);
+  std::ifstream in(options.trace_out);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  auto events = obs::ParseChromeTrace(buffer.str());
+  MRCOST_CHECK_OK(events.status());
+  std::uint64_t shards = 0;
+  for (const obs::TraceEvent& event : *events) {
+    if (event.name != "Round") continue;
+    for (const obs::TraceArg& arg : event.args) {
+      if (arg.key == "shards") shards = std::stoull(arg.value);
+    }
+  }
+  return {std::move(run.outputs), shards};
+}
+
+TEST(Plan, TinyRoundRunsOneShardAndExplicitShardsWin) {
+  // A tiny round's sampled pair estimate sizes it to one shard; an
+  // explicit num_shards request wins over the estimate. Outputs are
+  // identical either way.
   std::vector<int> inputs(200);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto build = [&](Plan& plan) {
@@ -370,18 +414,20 @@ TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
               out.emplace_back(key, values.size());
             });
   };
+  JobOptions threads;
+  threads.num_threads = 4;
   Plan tiny;
-  auto serial_run = build(tiny).Execute();
-  ASSERT_EQ(serial_run.round_strategies.size(), 1u);
-  EXPECT_EQ(serial_run.round_strategies[0], ShuffleStrategy::kSerial);
+  const auto [tiny_outputs, tiny_shards] =
+      RunTracingShards(build(tiny), ExecutionOptions(threads));
+  EXPECT_EQ(tiny_shards, 1u);
 
-  JobOptions options;
-  options.num_shards = 4;
+  JobOptions explicit_shards = threads;
+  explicit_shards.num_shards = 4;
   Plan sharded;
-  auto sharded_run = build(sharded).Execute(ExecutionOptions(options));
-  ASSERT_EQ(sharded_run.round_strategies.size(), 1u);
-  EXPECT_EQ(sharded_run.round_strategies[0], ShuffleStrategy::kSharded);
-  EXPECT_EQ(sharded_run.outputs, serial_run.outputs);
+  const auto [sharded_outputs, sharded_shards] =
+      RunTracingShards(build(sharded), ExecutionOptions(explicit_shards));
+  EXPECT_EQ(sharded_shards, 4u);
+  EXPECT_EQ(sharded_outputs, tiny_outputs);
 }
 
 TEST(Plan, ExplicitStrategyBypassesChooser) {
@@ -595,8 +641,8 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
 }
 
 TEST(Plan, PipelineWideSimulationReachesEveryRound) {
-  // ExecutionOptions::pipeline.simulation must simulate every round the
-  // plan executes (the backstop ResolveRoundOptions applies), not just be
+  // The round defaults' simulation must simulate every round the plan
+  // executes (the merge ResolveRoundOptions applies), not just be
   // narrated by Explain — executed and explained plans have to agree.
   SyntheticJob job;
   Plan plan;
@@ -605,13 +651,13 @@ TEST(Plan, PipelineWideSimulationReachesEveryRound) {
                 .ReduceByKey<std::pair<int, std::uint64_t>>(
                     SyntheticJob::ReduceFn);
   ExecutionOptions options;
-  options.pipeline.simulation.num_workers = 8;
+  options.pipeline.round_defaults.simulation.num_workers = 8;
   auto run = ds.Execute(options);
   ASSERT_EQ(run.metrics.rounds.size(), 1u);
   EXPECT_TRUE(run.metrics.rounds[0].simulated());
   EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 8);
   EXPECT_GT(run.metrics.rounds[0].makespan, 0.0);
-  // A round's own simulation still wins whole over the backstop.
+  // A round's own simulation still wins whole over the defaults'.
   Plan own;
   JobOptions round_options;
   round_options.simulation.num_workers = 3;
@@ -634,8 +680,8 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
   ASSERT_TRUE(plan.ok());
 
   ExecutionOptions options;
-  options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
-  options.pipeline.simulation.num_workers = 8;
+  options.pipeline.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
+  options.pipeline.round_defaults.simulation.num_workers = 8;
   const std::string text = plan->plan.Explain(options);
   EXPECT_NE(text.find("source 'matrix elements'"), std::string::npos);
   EXPECT_NE(text.find("round 1 'two-phase cubes'"), std::string::npos);
@@ -646,26 +692,22 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
   // Round 2's input is unmaterialized before execution.
   EXPECT_NE(text.find("chooser decides at run time"), std::string::npos);
 
-  // Explicit strategies are reported as such.
+  // Explicit strategies are reported as such, and the shard line names
+  // the count that will run: round 1's ~600 sampled pairs size it to one
+  // shard, and round 2, not yet sampled, gets one per thread.
   ExecutionOptions explicit_options;
+  explicit_options.pipeline.round_defaults.num_threads = 4;
   explicit_options.pipeline.round_defaults.shuffle.strategy =
-      ShuffleStrategy::kSerial;
+      ShuffleStrategy::kSharded;
   const std::string explicit_text = plan->plan.Explain(explicit_options);
-  EXPECT_NE(explicit_text.find("serial (explicit)"), std::string::npos);
+  EXPECT_NE(explicit_text.find("sharded (explicit)"), std::string::npos);
+  EXPECT_NE(explicit_text.find("shards: 1\n"), std::string::npos);
+  EXPECT_NE(explicit_text.find(
+                "shards: 4 (one per thread until the input is sampled)"),
+            std::string::npos);
 }
 
 // --------------------------------------- family drivers across strategies
-
-/// Per-strategy JobOptions for the family sweeps; tight budget so external
-/// really spills.
-JobOptions StrategyOptions(ShuffleStrategy strategy) {
-  JobOptions options;
-  options.shuffle.strategy = strategy;
-  if (strategy == ShuffleStrategy::kExternal) {
-    options.shuffle.memory_budget_bytes = 1 << 12;
-  }
-  return options;
-}
 
 TEST(PlanFamilies, HammingAcrossStrategiesAndSeeds) {
   for (std::uint64_t seed : {1u, 2u}) {
@@ -676,13 +718,10 @@ TEST(PlanFamilies, HammingAcrossStrategiesAndSeeds) {
         hamming::SplittingSimilarityJoin(strings, 12, 3, 1, {});
     ASSERT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(reference->pairs, serial_pairs);
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
-      const auto run = hamming::SplittingSimilarityJoin(
-          strings, 12, 3, 1, StrategyOptions(strategy));
+    for (const ShuffleShape& shape : ShuffleShapes()) {
+      SCOPED_TRACE(std::string(shape.name) + " seed=" + std::to_string(seed));
+      const auto run =
+          hamming::SplittingSimilarityJoin(strings, 12, 3, 1, shape.options);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(run->pairs, reference->pairs);
       EXPECT_EQ(run->metrics.pairs_shuffled,
@@ -711,13 +750,10 @@ TEST(PlanFamilies, JoinAggregateAcrossStrategiesAndSeeds) {
         query, ptrs, shares, 0, 2, /*pre_aggregate=*/false, /*seed=*/3, {});
     ASSERT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(reference->sums, serial);
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
+    for (const ShuffleShape& shape : ShuffleShapes()) {
+      SCOPED_TRACE(std::string(shape.name) + " seed=" + std::to_string(seed));
       const auto run = join::HyperCubeJoinAggregate(
-          query, ptrs, shares, 0, 2, false, 3, StrategyOptions(strategy));
+          query, ptrs, shares, 0, 2, false, 3, shape.options);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(run->sums, reference->sums);
       EXPECT_EQ(run->metrics.total_pairs(),
@@ -738,12 +774,9 @@ TEST(PlanFamilies, MatmulTwoPhaseAcrossStrategies) {
   const auto reference = matmul::MultiplyTwoPhase(r, s, 4, 2, {});
   ASSERT_TRUE(reference.ok()) << reference.status();
   EXPECT_LT(reference->product.MaxAbsDiff(expected), 1e-9);
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-        ShuffleStrategy::kExternal}) {
-    SCOPED_TRACE(ToString(strategy));
-    const auto run =
-        matmul::MultiplyTwoPhase(r, s, 4, 2, StrategyOptions(strategy));
+  for (const ShuffleShape& shape : ShuffleShapes()) {
+    SCOPED_TRACE(shape.name);
+    const auto run = matmul::MultiplyTwoPhase(r, s, 4, 2, shape.options);
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_EQ(run->product.MaxAbsDiff(reference->product), 0.0);
     EXPECT_EQ(run->metrics.total_pairs(), reference->metrics.total_pairs());
@@ -753,10 +786,10 @@ TEST(PlanFamilies, MatmulTwoPhaseAcrossStrategies) {
 
 // ---------------------------------------------- streaming vs barrier
 
-/// Execution options for the streaming comparisons: explicit strategy
-/// (tight budget when external) and the streaming switch.
-ExecutionOptions StreamingOptions(ShuffleStrategy strategy, bool streaming) {
-  ExecutionOptions options(StrategyOptions(strategy));
+/// Execution options for the streaming comparisons: one sweep shape and
+/// the streaming switch.
+ExecutionOptions StreamingOptions(const ShuffleShape& shape, bool streaming) {
+  ExecutionOptions options(shape.options);
   options.streaming = streaming;
   return options;
 }
@@ -810,7 +843,7 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
   Plan plan;
   auto target = build(plan);
   ExecutionOptions streaming;
-  streaming.pipeline.num_threads = 4;
+  streaming.pipeline.round_defaults.num_threads = 4;
   streaming.pipeline.round_defaults.num_shards = 8;
   ExecutionOptions barrier = streaming;
   barrier.streaming = false;
@@ -862,7 +895,7 @@ TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
                       .WithPerKeyInput()
                       .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
     auto run = target.Execute(
-        StreamingOptions(ShuffleStrategy::kExternal, /*streaming=*/true));
+        StreamingOptions(ShuffleShapes()[2], /*streaming=*/true));
     EXPECT_EQ(run.metrics.streamed_rounds, 0u);
     EXPECT_EQ(run.outputs.size(), 10u);
   }
@@ -908,12 +941,10 @@ TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
 
 TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
   // The acceptance matrix: streaming == barrier, byte for byte, for all
-  // four families x {serial, sharded, external} x seeds. The multi-round
-  // families (matmul two-phase, join-aggregate) actually stream; the
-  // one-round families pin the degenerate case.
-  const std::vector<ShuffleStrategy> strategies = {
-      ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-      ShuffleStrategy::kExternal};
+  // four families x {one-shard, sharded, external} x seeds. The
+  // multi-round families (matmul two-phase, join-aggregate) actually
+  // stream; the one-round families pin the degenerate case.
+  const std::vector<ShuffleShape> shapes = ShuffleShapes();
 
   // Two-phase matmul: round 2 declares the per-key hint.
   for (std::uint64_t seed : {31u, 32u}) {
@@ -924,11 +955,11 @@ TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
     s.FillRandom(rng);
     auto plan = matmul::BuildMultiplyTwoPhasePlan(r, s, 4, 2);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("matmul ") + ToString(strategy) +
+    for (const ShuffleShape& shape : shapes) {
+      SCOPED_TRACE(std::string("matmul ") + shape.name +
                    " seed=" + std::to_string(seed));
-      auto streamed = plan->sums.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan->sums.Execute(StreamingOptions(strategy, false));
+      auto streamed = plan->sums.Execute(StreamingOptions(shape, true));
+      auto barrier = plan->sums.Execute(StreamingOptions(shape, false));
       EXPECT_EQ(streamed.outputs, barrier.outputs);
       ASSERT_EQ(streamed.metrics.rounds.size(), 2u);
       for (std::size_t i = 0; i < 2; ++i) {
@@ -936,7 +967,7 @@ TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
                           barrier.metrics.rounds[i]);
       }
       EXPECT_EQ(barrier.metrics.streamed_rounds, 0u);
-      if (strategy != ShuffleStrategy::kExternal) {
+      if (shape.options.shuffle.strategy != ShuffleStrategy::kExternal) {
         EXPECT_EQ(streamed.metrics.streamed_rounds, 1u);
       }
     }
@@ -955,11 +986,11 @@ TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
           query, ptrs, shares, /*group_attr=*/0, /*sum_attr=*/2,
           /*pre_aggregate=*/false, /*seed=*/3);
       ASSERT_TRUE(plan.ok()) << plan.status();
-      for (ShuffleStrategy strategy : strategies) {
-        SCOPED_TRACE(std::string("join ") + ToString(strategy) +
+      for (const ShuffleShape& shape : shapes) {
+        SCOPED_TRACE(std::string("join ") + shape.name +
                      " seed=" + std::to_string(seed));
-        auto streamed = plan->sums.Execute(StreamingOptions(strategy, true));
-        auto barrier = plan->sums.Execute(StreamingOptions(strategy, false));
+        auto streamed = plan->sums.Execute(StreamingOptions(shape, true));
+        auto barrier = plan->sums.Execute(StreamingOptions(shape, false));
         EXPECT_EQ(streamed.outputs, barrier.outputs);
         ASSERT_EQ(streamed.metrics.rounds.size(), 2u);
         for (std::size_t i = 0; i < 2; ++i) {
@@ -976,11 +1007,11 @@ TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
         /*b=*/12, /*n=*/400, /*num_hubs=*/8, /*exponent=*/0.8, seed);
     auto plan = hamming::BuildSplittingSimilarityJoinPlan(strings, 12, 3, 1);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("hamming ") + ToString(strategy) +
+    for (const ShuffleShape& shape : shapes) {
+      SCOPED_TRACE(std::string("hamming ") + shape.name +
                    " seed=" + std::to_string(seed));
-      auto streamed = plan->pairs.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan->pairs.Execute(StreamingOptions(strategy, false));
+      auto streamed = plan->pairs.Execute(StreamingOptions(shape, true));
+      auto barrier = plan->pairs.Execute(StreamingOptions(shape, false));
       EXPECT_EQ(streamed.outputs, barrier.outputs);
       ExpectSameMetrics(streamed.metrics.rounds[0],
                         barrier.metrics.rounds[0]);
@@ -994,11 +1025,11 @@ TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
     const graph::Graph pattern(3, {{0, 1}, {1, 2}, {0, 2}});
     auto plan = graph::BuildSampleGraphPlan(data, pattern, /*k=*/5,
                                             /*seed=*/7);
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("graph ") + ToString(strategy) +
+    for (const ShuffleShape& shape : shapes) {
+      SCOPED_TRACE(std::string("graph ") + shape.name +
                    " seed=" + std::to_string(seed));
-      auto streamed = plan.counts.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan.counts.Execute(StreamingOptions(strategy, false));
+      auto streamed = plan.counts.Execute(StreamingOptions(shape, true));
+      auto barrier = plan.counts.Execute(StreamingOptions(shape, false));
       EXPECT_EQ(streamed.outputs, barrier.outputs);
       ExpectSameMetrics(streamed.metrics.rounds[0],
                         barrier.metrics.rounds[0]);
@@ -1013,13 +1044,10 @@ TEST(PlanFamilies, SampleGraphAcrossStrategiesAndSeeds) {
         graph::ZipfGraph(/*n=*/200, /*m=*/800, /*exponent=*/0.7, seed);
     const auto reference =
         graph::MRSampleGraphInstances(data, pattern, /*k=*/5, /*seed=*/2, {});
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
-      const auto run = graph::MRSampleGraphInstances(
-          data, pattern, 5, 2, StrategyOptions(strategy));
+    for (const ShuffleShape& shape : ShuffleShapes()) {
+      SCOPED_TRACE(std::string(shape.name) + " seed=" + std::to_string(seed));
+      const auto run =
+          graph::MRSampleGraphInstances(data, pattern, 5, 2, shape.options);
       EXPECT_EQ(run.instance_count, reference.instance_count);
       EXPECT_EQ(run.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
       EXPECT_EQ(run.metrics.bytes_shuffled, reference.metrics.bytes_shuffled);
@@ -1170,7 +1198,7 @@ TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
   SyntheticJob job;
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference =
       RunMapReduce<int, int, std::uint64_t, std::pair<int, std::uint64_t>>(
           job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, serial);
@@ -1215,10 +1243,11 @@ TEST(RuntimeCalibration, ExecutionFeedbackInflatesEstimate) {
                     SyntheticJob::ReduceFn);
   core::RuntimeCalibration calibration;
   ExecutionOptions options;
-  options.pipeline.simulation.num_workers = 8;
-  options.pipeline.simulation.straggler_fraction = 0.25;
-  options.pipeline.simulation.straggler_slowdown = 4.0;
-  options.pipeline.simulation.seed = 11;
+  SimulationOptions& simulation = options.pipeline.round_defaults.simulation;
+  simulation.num_workers = 8;
+  simulation.straggler_fraction = 0.25;
+  simulation.straggler_slowdown = 4.0;
+  simulation.seed = 11;
   options.calibration = &calibration;
   ds.Execute(options);
   ASSERT_GE(calibration.observations(), 1u);

@@ -93,7 +93,7 @@ TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfStragglersAndShards) {
     const ZipfJob job(20000, 512, exponents[e], /*seed=*/29 + e);
     JobOptions serial;
     serial.num_threads = 1;
-    serial.shuffle.strategy = ShuffleStrategy::kSerial;
+    serial.num_shards = 1;
     const auto reference = job.Run(serial);
 
     for (PartitionerKind partitioner :
@@ -171,7 +171,7 @@ TEST(SkewHarness, HotKeySplitRestoresCapacityCompliance) {
   const ZipfJob job(20000, 8, /*exponent=*/1.6, /*seed=*/41);
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference = job.Run(serial);
 
   JobOptions undefended;
